@@ -301,5 +301,106 @@ TEST(DaemonWire, ExtractPacketStreamsAndDetectsCorruption) {
   EXPECT_FALSE(error.empty());
 }
 
+// ---- golden bytes: the exact frames of wire v4, one per packet type.
+
+constexpr std::uint64_t kGoldenSeq = 0x1122334455667788ull;
+
+std::string to_hex(const std::string& bytes) {
+  static const char* const kDigits = "0123456789abcdef";
+  std::string hex;
+  for (const char c : bytes) {
+    const auto b = static_cast<unsigned char>(c);
+    hex += kDigits[b >> 4];
+    hex += kDigits[b & 0xf];
+  }
+  return hex;
+}
+
+/// `packet` must encode to exactly `hex`, and decoding those bytes must
+/// give back a packet that re-encodes to the same bytes (so every field
+/// survives the round trip).
+template <class Packet>
+void expect_golden(const Packet& packet, const std::string& hex) {
+  const std::string bytes = packet.encode(kGoldenSeq);
+  const storage::Frame frame = reframe(bytes);
+  const char* name = packet_type_name(static_cast<PacketType>(frame.type));
+  EXPECT_EQ(to_hex(bytes), hex) << name;
+  EXPECT_EQ(frame.seq, kGoldenSeq) << name;
+  EXPECT_EQ(Packet::decode(frame).encode(kGoldenSeq), bytes) << name;
+}
+
+TEST(DaemonWire, GoldenBytes) {
+  expect_golden(ErrorResponse{WireStatus::kNotServing, "drain"},
+                "1e000000574a7e3e00000000887766554433221104000000020500000000000000647261696e");
+  expect_golden(LocalizeRequest{"z1", {-41.5, -63.25}, 0xfeedbeefull, true},
+                "3b000000738afce20100000088776655443322110400000002000000000000007a31020000000000"
+                "00000000000000c044c00000000000a04fc0efbeedfe0000000001");
+  expect_golden(LocalizeResponse{WireStatus::kInternalError, "m", 1.5, -2.25, 0.875, true, true, 9},
+                "3c000000dcaf6e82020000008877665544332211040000000401000000000000006d000000000000"
+                "f83f00000000000002c0000000000000ec3f01010900000000000000");
+  expect_golden(AmbientRequest{"z2", {-40.0, -41.5}, 3.25},
+                "3a00000047fac7b00300000088776655443322110400000002000000000000007a32020000000000"
+                "000000000000000044c00000000000c044c00000000000000a40");
+  expect_golden(AmbientResponse{WireStatus::kOk, "a", true, true, true, 4.125},
+                "25000000b4d8a6550400000088776655443322110400000000010000000000000061010101000000"
+                "0000801040");
+  expect_golden(ResurveyRequest{"z2", 9.5},
+                "2200000080014f640500000088776655443322110400000002000000000000007a32000000000000"
+                "2340");
+  expect_golden(ResurveyResponse{WireStatus::kOk, "busy", true},
+                "1e000000eaf6836d060000008877665544332211040000000004000000000000006275737901");
+  expect_golden(StatusRequest{"z1"},
+                "1a000000ba95051d0700000088776655443322110400000002000000000000007a31");
+
+  ZoneStatus zs{"z1", "serving", 12, 3, 1, true, 2.5, 14.0, 99, "avx2", true, 980, 20, -10.25,
+                true, "oops"};
+  expect_golden(StatusResponse{WireStatus::kOk, "s", {zs}},
+                "9e0000002be410690800000088776655443322110400000000010000000000000073010000000000"
+                "000002000000000000007a31070000000000000073657276696e670c000000000000000300000000"
+                "00000001000000000000000100000000000004400000000000002c40630000000000000004000000"
+                "000000006176783201d403000000000000140000000000000000000000008024c001040000000000"
+                "00006f6f7073");
+  expect_golden(AdminRequest{AdminOp::kReload, "z1"},
+                "1b00000045e14196090000008877665544332211040000000202000000000000007a31");
+  expect_golden(AdminResponse{WireStatus::kUnknownZone, "no"},
+                "1b000000becd6e440a0000008877665544332211040000000102000000000000006e6f");
+  expect_golden(ProbeRequest{"z1"},
+                "1a0000000fd327c30b00000088776655443322110400000002000000000000007a31");
+  expect_golden(ProbeResponse{WireStatus::kOk, "p", 1.5, 2.5, 1.25, 2.75, 0.354, true},
+                "430000008a3832450c00000088776655443322110400000000010000000000000070000000000000"
+                "f83f0000000000000440000000000000f43f00000000000006400e2db29defa7d63f01");
+  expect_golden(MetricsRequest{"z1"},
+                "1a0000002dcbc02e0d00000088776655443322110400000002000000000000007a31");
+
+  ZoneMetrics zm{"z1", "degraded", 123456789, 40, 8, {{"c", 3}}, {{"g", -1.5}},
+                 {WireHistogram{"h", 100, 0.5, 0.001, 0.09, 0.004, 0.02, 0.05}}};
+  expect_golden(MetricsResponse{WireStatus::kOk, "m", {zm}},
+                "cf0000003419fea30e0000008877665544332211040000000001000000000000006d010000000000"
+                "000002000000000000007a310800000000000000646567726164656415cd5b070000000028000000"
+                "00000000080000000000000001000000000000000100000000000000630300000000000000010000"
+                "0000000000010000000000000067000000000000f8bf010000000000000001000000000000006864"
+                "00000000000000000000000000e03ffca9f1d24d62503f0ad7a3703d0ab73ffca9f1d24d62703f7b"
+                "14ae47e17a943f9a9999999999a93f");
+  expect_golden(TraceRequest{"z2", 32, true},
+                "230000005995bb740f00000088776655443322110400000002000000000000007a32200000000000"
+                "000001");
+  expect_golden(TraceResponse{WireStatus::kOk, "t", "{}\n", 9, 2},
+                "350000009e797a291000000088776655443322110400000000010000000000000074030000000000"
+                "00007b7d0a09000000000000000200000000000000");
+
+  ingest::NodeBatch batch{3, {{1, -50.5, 7, 0.25}, {2, -61.0, 8, 0.25}}};
+  expect_golden(BatchIngestRequest{"z1", batch},
+                "62000000000e2d301100000088776655443322110400000002000000000000007a31010000000300"
+                "000002000000000000000100000000000000004049c00700000000000000000000000000d03f0200"
+                "00000000000000804ec00800000000000000000000000000d03f");
+  BatchIngestResponse ingest{WireStatus::kOk, "i", 8, 1, 2, 3, 4, 5, 6, 7.5,
+                             {IngestQuery{0.25, 6.5, 1.5, 2.5, 0.75, true, true, 10}}};
+  expect_golden(ingest,
+                "94000000b544fd141200000088776655443322110400000000010000000000000069080000000000"
+                "00000100000000000000020000000000000003000000000000000400000000000000050000000000"
+                "000006000000000000000000000000001e400100000000000000000000000000d03f000000000000"
+                "1a40000000000000f83f0000000000000440000000000000e83f01010a00000000000000");
+}
+
 }  // namespace
 }  // namespace tafloc::daemon
