@@ -17,6 +17,16 @@
 // A version mismatch or malformed payload inside an intact frame throws
 // from decode; the server maps that to a kError response on the same
 // connection without crashing.
+//
+// Each packet struct states its layout once: `kType` names its packet
+// type and `fields(self, visit)` hands its members to `visit` in wire
+// order.  One writer and one reader in wire.cpp walk that list for
+// every packet (and for the nested entries ZoneStatus, ZoneMetrics,
+// WireHistogram and IngestQuery), so a packet's encode and decode can
+// never disagree.  Field encodings: std::string as u64 length + bytes,
+// std::vector as u64 count + elements, std::uint64_t / double as 8
+// bytes, bool and the u8 enums as one byte, ingest::NodeBatch as its
+// own versioned payload.
 #pragma once
 
 #include <cstdint>
@@ -79,6 +89,8 @@ const char* wire_status_name(WireStatus status);
 // -- requests --
 
 struct LocalizeRequest {
+  static constexpr PacketType kType = PacketType::kLocalizeRequest;
+
   std::string zone;
   std::vector<double> rss;  ///< one reading per deployment link.
   /// Trace context: a client-chosen id echoed into the zone's trace
@@ -88,33 +100,47 @@ struct LocalizeRequest {
   std::uint64_t trace_id = 0;
   bool trace_sampled = false;
 
+  template <class S, class V>
+  static void fields(S& s, V& v) { v(s.zone, s.rss, s.trace_id, s.trace_sampled); }
   std::string encode(std::uint64_t seq) const;
   static LocalizeRequest decode(const storage::Frame& frame);
 };
 
 /// Feed one ambient scan into the zone's update scheduler.
 struct AmbientRequest {
+  static constexpr PacketType kType = PacketType::kAmbientRequest;
+
   std::string zone;
   std::vector<double> ambient;
   double t_days = 0.0;
 
+  template <class S, class V>
+  static void fields(S& s, V& v) { v(s.zone, s.ambient, s.t_days); }
   std::string encode(std::uint64_t seq) const;
   static AmbientRequest decode(const storage::Frame& frame);
 };
 
 /// Explicitly kick a supervised reference re-survey (LoLi-IR update).
 struct ResurveyRequest {
+  static constexpr PacketType kType = PacketType::kResurveyRequest;
+
   std::string zone;
   double t_days = 0.0;
 
+  template <class S, class V>
+  static void fields(S& s, V& v) { v(s.zone, s.t_days); }
   std::string encode(std::uint64_t seq) const;
   static ResurveyRequest decode(const storage::Frame& frame);
 };
 
 /// Zone status; empty `zone` means every zone.
 struct StatusRequest {
+  static constexpr PacketType kType = PacketType::kStatusRequest;
+
   std::string zone;
 
+  template <class S, class V>
+  static void fields(S& s, V& v) { v(s.zone); }
   std::string encode(std::uint64_t seq) const;
   static StatusRequest decode(const storage::Frame& frame);
 };
@@ -128,9 +154,13 @@ enum class AdminOp : std::uint8_t {
 const char* admin_op_name(AdminOp op);
 
 struct AdminRequest {
+  static constexpr PacketType kType = PacketType::kAdminRequest;
+
   AdminOp op = AdminOp::kDrain;
   std::string zone;  ///< empty = daemon-wide.
 
+  template <class S, class V>
+  static void fields(S& s, V& v) { v(s.op, s.zone); }
   std::string encode(std::uint64_t seq) const;
   static AdminRequest decode(const storage::Frame& frame);
 };
@@ -140,8 +170,12 @@ struct AdminRequest {
 /// path, and reports truth vs. estimate.  Lets taflocctl and the CI
 /// smoke drive real traffic without shipping RSS vectors.
 struct ProbeRequest {
+  static constexpr PacketType kType = PacketType::kProbeRequest;
+
   std::string zone;
 
+  template <class S, class V>
+  static void fields(S& s, V& v) { v(s.zone); }
   std::string encode(std::uint64_t seq) const;
   static ProbeRequest decode(const storage::Frame& frame);
 };
@@ -150,8 +184,12 @@ struct ProbeRequest {
 /// every zone).  Powers `taflocctl top` without touching the JSONL
 /// export path.
 struct MetricsRequest {
+  static constexpr PacketType kType = PacketType::kMetricsRequest;
+
   std::string zone;
 
+  template <class S, class V>
+  static void fields(S& s, V& v) { v(s.zone); }
   std::string encode(std::uint64_t seq) const;
   static MetricsRequest decode(const storage::Frame& frame);
 };
@@ -159,10 +197,14 @@ struct MetricsRequest {
 /// Pull retained trace records from a zone: the newest `max` sampled
 /// traces, or the slow-query log when `slow` is set.
 struct TraceRequest {
+  static constexpr PacketType kType = PacketType::kTraceRequest;
+
   std::string zone;
   std::uint64_t max = 64;  ///< newest-N cap for the sampled ring.
   bool slow = false;       ///< true: return the slow-query log instead.
 
+  template <class S, class V>
+  static void fields(S& s, V& v) { v(s.zone, s.max, s.slow); }
   std::string encode(std::uint64_t seq) const;
   static TraceRequest decode(const storage::Frame& frame);
 };
@@ -171,9 +213,13 @@ struct TraceRequest {
 /// movement gate); the batch payload is the shared ingest codec, so a
 /// node's store-and-forward file replays over the wire unmodified.
 struct BatchIngestRequest {
+  static constexpr PacketType kType = PacketType::kBatchIngestRequest;
+
   std::string zone;
   ingest::NodeBatch batch;
 
+  template <class S, class V>
+  static void fields(S& s, V& v) { v(s.zone, s.batch); }
   std::string encode(std::uint64_t seq) const;
   static BatchIngestRequest decode(const storage::Frame& frame);
 };
@@ -181,14 +227,20 @@ struct BatchIngestRequest {
 // -- responses --
 
 struct ErrorResponse {
+  static constexpr PacketType kType = PacketType::kError;
+
   WireStatus status = WireStatus::kBadRequest;
   std::string message;
 
+  template <class S, class V>
+  static void fields(S& s, V& v) { v(s.status, s.message); }
   std::string encode(std::uint64_t seq) const;
   static ErrorResponse decode(const storage::Frame& frame);
 };
 
 struct LocalizeResponse {
+  static constexpr PacketType kType = PacketType::kLocalizeResponse;
+
   WireStatus status = WireStatus::kOk;
   std::string message;
   double x = 0.0;
@@ -198,11 +250,17 @@ struct LocalizeResponse {
   bool degraded = false;
   std::uint64_t links_used = 0;
 
+  template <class S, class V>
+  static void fields(S& s, V& v) {
+    v(s.status, s.message, s.x, s.y, s.confidence, s.served, s.degraded, s.links_used);
+  }
   std::string encode(std::uint64_t seq) const;
   static LocalizeResponse decode(const storage::Frame& frame);
 };
 
 struct AmbientResponse {
+  static constexpr PacketType kType = PacketType::kAmbientResponse;
+
   WireStatus status = WireStatus::kOk;
   std::string message;
   bool accepted = false;        ///< scan admitted into the scheduler.
@@ -210,15 +268,23 @@ struct AmbientResponse {
   bool triggered = false;       ///< it crossed the staleness threshold.
   double staleness_db = 0.0;
 
+  template <class S, class V>
+  static void fields(S& s, V& v) {
+    v(s.status, s.message, s.accepted, s.sample_accepted, s.triggered, s.staleness_db);
+  }
   std::string encode(std::uint64_t seq) const;
   static AmbientResponse decode(const storage::Frame& frame);
 };
 
 struct ResurveyResponse {
+  static constexpr PacketType kType = PacketType::kResurveyResponse;
+
   WireStatus status = WireStatus::kOk;
   std::string message;
   bool accepted = false;  ///< false: another update already in flight.
 
+  template <class S, class V>
+  static void fields(S& s, V& v) { v(s.status, s.message, s.accepted); }
   std::string encode(std::uint64_t seq) const;
   static ResurveyResponse decode(const storage::Frame& frame);
 };
@@ -241,26 +307,43 @@ struct ZoneStatus {
   double slo_budget_remaining = 0.0;  ///< error budget left (can go negative).
   bool slo_degraded = false;       ///< budget exhausted: `degraded-slo`.
   std::string last_error;
+
+  template <class S, class V>
+  static void fields(S& s, V& v) {
+    v(s.zone, s.state, s.queries, s.updates_committed, s.updates_failed, s.update_in_flight,
+      s.staleness_db, s.clock_days, s.wal_sequence, s.kernel_backend, s.quantized_tier, s.slo_ok,
+      s.slo_violated, s.slo_budget_remaining, s.slo_degraded, s.last_error);
+  }
 };
 
 struct StatusResponse {
+  static constexpr PacketType kType = PacketType::kStatusResponse;
+
   WireStatus status = WireStatus::kOk;
   std::string message;
   std::vector<ZoneStatus> zones;
 
+  template <class S, class V>
+  static void fields(S& s, V& v) { v(s.status, s.message, s.zones); }
   std::string encode(std::uint64_t seq) const;
   static StatusResponse decode(const storage::Frame& frame);
 };
 
 struct AdminResponse {
+  static constexpr PacketType kType = PacketType::kAdminResponse;
+
   WireStatus status = WireStatus::kOk;
   std::string message;
 
+  template <class S, class V>
+  static void fields(S& s, V& v) { v(s.status, s.message); }
   std::string encode(std::uint64_t seq) const;
   static AdminResponse decode(const storage::Frame& frame);
 };
 
 struct ProbeResponse {
+  static constexpr PacketType kType = PacketType::kProbeResponse;
+
   WireStatus status = WireStatus::kOk;
   std::string message;
   double truth_x = 0.0;
@@ -270,6 +353,10 @@ struct ProbeResponse {
   double error_m = 0.0;
   bool degraded = false;
 
+  template <class S, class V>
+  static void fields(S& s, V& v) {
+    v(s.status, s.message, s.truth_x, s.truth_y, s.estimate_x, s.estimate_y, s.error_m, s.degraded);
+  }
   std::string encode(std::uint64_t seq) const;
   static ProbeResponse decode(const storage::Frame& frame);
 };
@@ -285,6 +372,9 @@ struct WireHistogram {
   double p50 = 0.0;
   double p95 = 0.0;
   double p99 = 0.0;
+
+  template <class S, class V>
+  static void fields(S& s, V& v) { v(s.name, s.count, s.sum, s.min, s.max, s.p50, s.p95, s.p99); }
 };
 
 /// Point-in-time copy of one zone's metric registry.
@@ -297,13 +387,23 @@ struct ZoneMetrics {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
   std::vector<std::pair<std::string, double>> gauges;
   std::vector<WireHistogram> histograms;
+
+  template <class S, class V>
+  static void fields(S& s, V& v) {
+    v(s.zone, s.state, s.uptime_ns, s.spans_recorded, s.spans_dropped, s.counters, s.gauges,
+      s.histograms);
+  }
 };
 
 struct MetricsResponse {
+  static constexpr PacketType kType = PacketType::kMetricsResponse;
+
   WireStatus status = WireStatus::kOk;
   std::string message;
   std::vector<ZoneMetrics> zones;
 
+  template <class S, class V>
+  static void fields(S& s, V& v) { v(s.status, s.message, s.zones); }
   std::string encode(std::uint64_t seq) const;
   static MetricsResponse decode(const storage::Frame& frame);
 };
@@ -318,9 +418,16 @@ struct IngestQuery {
   bool served = false;
   bool degraded = false;
   std::uint64_t links_used = 0;
+
+  template <class S, class V>
+  static void fields(S& s, V& v) {
+    v(s.t_days, s.motion_db, s.x, s.y, s.confidence, s.served, s.degraded, s.links_used);
+  }
 };
 
 struct BatchIngestResponse {
+  static constexpr PacketType kType = PacketType::kBatchIngestResponse;
+
   WireStatus status = WireStatus::kOk;
   std::string message;
   // This batch's exact accounting deltas (mirrors ingest.* telemetry).
@@ -334,11 +441,18 @@ struct BatchIngestResponse {
   double last_motion_db = 0.0;
   std::vector<IngestQuery> queries;  ///< one per admitted round.
 
+  template <class S, class V>
+  static void fields(S& s, V& v) {
+    v(s.status, s.message, s.readings, s.dups_dropped, s.stale_dropped, s.bad_readings,
+      s.rounds_completed, s.gated_ambient, s.admitted_queries, s.last_motion_db, s.queries);
+  }
   std::string encode(std::uint64_t seq) const;
   static BatchIngestResponse decode(const storage::Frame& frame);
 };
 
 struct TraceResponse {
+  static constexpr PacketType kType = PacketType::kTraceResponse;
+
   WireStatus status = WireStatus::kOk;
   std::string message;
   /// Trace records as JSONL (one `{"type":"trace",...}` object per
@@ -348,6 +462,8 @@ struct TraceResponse {
   std::uint64_t total_recorded = 0;  ///< ring pushes (or slow-log size).
   std::uint64_t dropped = 0;         ///< ring overwrites (or slow-log drops).
 
+  template <class S, class V>
+  static void fields(S& s, V& v) { v(s.status, s.message, s.jsonl, s.total_recorded, s.dropped); }
   std::string encode(std::uint64_t seq) const;
   static TraceResponse decode(const storage::Frame& frame);
 };

@@ -1,9 +1,9 @@
 #include "tafloc/daemon/wire.h"
 
+#include <cstddef>
 #include <stdexcept>
 
 #include "tafloc/storage/codec.h"
-#include "tafloc/util/check.h"
 
 namespace tafloc::daemon {
 
@@ -12,28 +12,137 @@ namespace {
 using storage::ByteReader;
 using storage::ByteWriter;
 
-void put_string(ByteWriter& out, std::string_view s) {
-  out.put_u8_span({reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
+/// Appends a packet's fields to a payload in the order its `fields`
+/// lists them.
+class FieldWriter {
+ public:
+  explicit FieldWriter(ByteWriter& out) : out_(out) {}
+
+  template <class... F>
+  void operator()(const F&... values) {
+    (put(values), ...);
+  }
+
+ private:
+  void put(const std::string& s) {
+    out_.put_u8_span({reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
+  }
+  void put(const std::vector<double>& values) { out_.put_f64_span(values); }
+  void put(std::uint64_t v) { out_.put_u64(v); }
+  void put(double v) { out_.put_f64(v); }
+  void put(bool v) { out_.put_u8(v ? 1 : 0); }
+  void put(WireStatus status) { out_.put_u8(static_cast<std::uint8_t>(status)); }
+  void put(AdminOp op) { out_.put_u8(static_cast<std::uint8_t>(op)); }
+  // The nested payload carries its own format version.
+  void put(const ingest::NodeBatch& batch) { batch.encode(out_); }
+  template <class A, class B>
+  void put(const std::pair<A, B>& entry) {
+    put(entry.first);
+    put(entry.second);
+  }
+  template <class T>
+  void put(const std::vector<T>& entries) {
+    out_.put_u64(entries.size());
+    for (const T& entry : entries) put(entry);
+  }
+  template <class T>
+  void put(const T& nested) {
+    T::fields(nested, *this);
+  }
+
+  ByteWriter& out_;
+};
+
+/// Smallest encoding of one T, the floor require_elements applies per
+/// declared entry: every variable-length field is a count or length
+/// prefix, so a default-constructed T (empty strings and vectors)
+/// encodes to exactly that minimum.
+template <class T>
+std::size_t min_encoded_size() {
+  static const std::size_t size = [] {
+    ByteWriter out;
+    const T empty{};
+    FieldWriter{out}(empty);
+    return out.size();
+  }();
+  return size;
 }
 
-std::string get_string(ByteReader& in) {
-  const std::vector<std::uint8_t> bytes = in.get_u8_vector();
-  return {reinterpret_cast<const char*>(bytes.data()), bytes.size()};
-}
+/// Fills a packet's fields from a payload in the order its `fields`
+/// lists them; every read is bounds-checked, every enum range-checked.
+class FieldReader {
+ public:
+  FieldReader(ByteReader& in, const char* what) : in_(in), what_(what) {}
+
+  template <class... F>
+  void operator()(F&... values) {
+    (get(values), ...);
+  }
+
+ private:
+  void get(std::string& s) {
+    const std::vector<std::uint8_t> bytes = in_.get_u8_vector();
+    s.assign(reinterpret_cast<const char*>(bytes.data()), bytes.size());
+  }
+  void get(std::vector<double>& values) { values = in_.get_f64_vector(); }
+  void get(std::uint64_t& v) { v = in_.get_u64(); }
+  void get(double& v) { v = in_.get_f64(); }
+  void get(bool& v) { v = in_.get_u8() != 0; }
+  void get(WireStatus& status) {
+    const std::uint8_t raw = in_.get_u8();
+    if (raw > static_cast<std::uint8_t>(WireStatus::kInternalError)) {
+      throw std::runtime_error("wire: unknown status code " + std::to_string(raw));
+    }
+    status = static_cast<WireStatus>(raw);
+  }
+  void get(AdminOp& op) {
+    const std::uint8_t raw = in_.get_u8();
+    if (raw < static_cast<std::uint8_t>(AdminOp::kDrain) ||
+        raw > static_cast<std::uint8_t>(AdminOp::kShutdown)) {
+      throw std::runtime_error("wire: unknown admin op " + std::to_string(raw));
+    }
+    op = static_cast<AdminOp>(raw);
+  }
+  void get(ingest::NodeBatch& batch) { batch = ingest::NodeBatch::decode(in_); }
+  template <class A, class B>
+  void get(std::pair<A, B>& entry) {
+    get(entry.first);
+    get(entry.second);
+  }
+  template <class T>
+  void get(std::vector<T>& entries) {
+    const std::uint64_t count = in_.get_u64();
+    in_.require_elements(count, min_encoded_size<T>(), what_);
+    entries.resize(static_cast<std::size_t>(count));
+    for (T& entry : entries) get(entry);
+  }
+  template <class T>
+  void get(T& nested) {
+    T::fields(nested, *this);
+  }
+
+  ByteReader& in_;
+  const char* what_;
+};
 
 /// Every payload opens with the wire version; decoding any packet from
 /// another protocol generation fails here, before a single field is
 /// trusted.
-ByteWriter begin_payload() {
+template <class P>
+std::string encode_packet(const P& packet, std::uint64_t seq) {
   ByteWriter out;
   out.put_u32(kWireVersion);
-  return out;
+  FieldWriter writer(out);
+  P::fields(packet, writer);
+  return storage::encode_frame(static_cast<std::uint32_t>(P::kType), seq, out.bytes());
 }
 
-ByteReader open_payload(const storage::Frame& frame, PacketType expected) {
-  if (frame.type != static_cast<std::uint32_t>(expected)) {
-    throw std::runtime_error(std::string("wire: expected ") + packet_type_name(expected) +
-                             ", got packet type " + std::to_string(frame.type));
+template <class P>
+P decode_packet(const storage::Frame& frame) {
+  const char* what = packet_type_name(P::kType);
+  if (frame.type != static_cast<std::uint32_t>(P::kType)) {
+    throw std::runtime_error(std::string("wire: expected ") + what + ", got packet type " +
+                             std::to_string(frame.type));
   }
   ByteReader in(frame.payload);
   const std::uint32_t version = in.get_u32();
@@ -42,19 +151,11 @@ ByteReader open_payload(const storage::Frame& frame, PacketType expected) {
                              " not supported (this daemon speaks version " +
                              std::to_string(kWireVersion) + ")");
   }
-  return in;
-}
-
-std::string finish(PacketType type, std::uint64_t seq, ByteWriter& out) {
-  return storage::encode_frame(static_cast<std::uint32_t>(type), seq, out.bytes());
-}
-
-WireStatus get_status(ByteReader& in) {
-  const std::uint8_t raw = in.get_u8();
-  if (raw > static_cast<std::uint8_t>(WireStatus::kInternalError)) {
-    throw std::runtime_error("wire: unknown status code " + std::to_string(raw));
-  }
-  return static_cast<WireStatus>(raw);
+  P packet;
+  FieldReader reader(in, what);
+  P::fields(packet, reader);
+  in.expect_exhausted(what);  // trailing bytes are as suspicious as truncation.
+  return packet;
 }
 
 }  // namespace
@@ -104,514 +205,31 @@ const char* admin_op_name(AdminOp op) {
   return "unknown";
 }
 
-// -- requests --
+#define TAFLOC_WIRE_CODEC(P)                                                            \
+  std::string P::encode(std::uint64_t seq) const { return encode_packet(*this, seq); } \
+  P P::decode(const storage::Frame& frame) { return decode_packet<P>(frame); }
 
-std::string LocalizeRequest::encode(std::uint64_t seq) const {
-  ByteWriter out = begin_payload();
-  put_string(out, zone);
-  out.put_f64_span(rss);
-  out.put_u64(trace_id);
-  out.put_u8(trace_sampled ? 1 : 0);
-  return finish(PacketType::kLocalizeRequest, seq, out);
-}
+TAFLOC_WIRE_CODEC(LocalizeRequest)
+TAFLOC_WIRE_CODEC(AmbientRequest)
+TAFLOC_WIRE_CODEC(ResurveyRequest)
+TAFLOC_WIRE_CODEC(StatusRequest)
+TAFLOC_WIRE_CODEC(AdminRequest)
+TAFLOC_WIRE_CODEC(ProbeRequest)
+TAFLOC_WIRE_CODEC(MetricsRequest)
+TAFLOC_WIRE_CODEC(TraceRequest)
+TAFLOC_WIRE_CODEC(BatchIngestRequest)
+TAFLOC_WIRE_CODEC(ErrorResponse)
+TAFLOC_WIRE_CODEC(LocalizeResponse)
+TAFLOC_WIRE_CODEC(AmbientResponse)
+TAFLOC_WIRE_CODEC(ResurveyResponse)
+TAFLOC_WIRE_CODEC(StatusResponse)
+TAFLOC_WIRE_CODEC(AdminResponse)
+TAFLOC_WIRE_CODEC(ProbeResponse)
+TAFLOC_WIRE_CODEC(MetricsResponse)
+TAFLOC_WIRE_CODEC(TraceResponse)
+TAFLOC_WIRE_CODEC(BatchIngestResponse)
 
-LocalizeRequest LocalizeRequest::decode(const storage::Frame& frame) {
-  ByteReader in = open_payload(frame, PacketType::kLocalizeRequest);
-  LocalizeRequest req;
-  req.zone = get_string(in);
-  req.rss = in.get_f64_vector();
-  req.trace_id = in.get_u64();
-  req.trace_sampled = in.get_u8() != 0;
-  in.expect_exhausted("localize request");
-  return req;
-}
-
-std::string AmbientRequest::encode(std::uint64_t seq) const {
-  ByteWriter out = begin_payload();
-  put_string(out, zone);
-  out.put_f64_span(ambient);
-  out.put_f64(t_days);
-  return finish(PacketType::kAmbientRequest, seq, out);
-}
-
-AmbientRequest AmbientRequest::decode(const storage::Frame& frame) {
-  ByteReader in = open_payload(frame, PacketType::kAmbientRequest);
-  AmbientRequest req;
-  req.zone = get_string(in);
-  req.ambient = in.get_f64_vector();
-  req.t_days = in.get_f64();
-  in.expect_exhausted("ambient request");
-  return req;
-}
-
-std::string ResurveyRequest::encode(std::uint64_t seq) const {
-  ByteWriter out = begin_payload();
-  put_string(out, zone);
-  out.put_f64(t_days);
-  return finish(PacketType::kResurveyRequest, seq, out);
-}
-
-ResurveyRequest ResurveyRequest::decode(const storage::Frame& frame) {
-  ByteReader in = open_payload(frame, PacketType::kResurveyRequest);
-  ResurveyRequest req;
-  req.zone = get_string(in);
-  req.t_days = in.get_f64();
-  in.expect_exhausted("resurvey request");
-  return req;
-}
-
-std::string StatusRequest::encode(std::uint64_t seq) const {
-  ByteWriter out = begin_payload();
-  put_string(out, zone);
-  return finish(PacketType::kStatusRequest, seq, out);
-}
-
-StatusRequest StatusRequest::decode(const storage::Frame& frame) {
-  ByteReader in = open_payload(frame, PacketType::kStatusRequest);
-  StatusRequest req;
-  req.zone = get_string(in);
-  in.expect_exhausted("status request");
-  return req;
-}
-
-std::string AdminRequest::encode(std::uint64_t seq) const {
-  ByteWriter out = begin_payload();
-  out.put_u8(static_cast<std::uint8_t>(op));
-  put_string(out, zone);
-  return finish(PacketType::kAdminRequest, seq, out);
-}
-
-AdminRequest AdminRequest::decode(const storage::Frame& frame) {
-  ByteReader in = open_payload(frame, PacketType::kAdminRequest);
-  AdminRequest req;
-  const std::uint8_t raw = in.get_u8();
-  if (raw < static_cast<std::uint8_t>(AdminOp::kDrain) ||
-      raw > static_cast<std::uint8_t>(AdminOp::kShutdown)) {
-    throw std::runtime_error("wire: unknown admin op " + std::to_string(raw));
-  }
-  req.op = static_cast<AdminOp>(raw);
-  req.zone = get_string(in);
-  in.expect_exhausted("admin request");
-  return req;
-}
-
-std::string ProbeRequest::encode(std::uint64_t seq) const {
-  ByteWriter out = begin_payload();
-  put_string(out, zone);
-  return finish(PacketType::kProbeRequest, seq, out);
-}
-
-ProbeRequest ProbeRequest::decode(const storage::Frame& frame) {
-  ByteReader in = open_payload(frame, PacketType::kProbeRequest);
-  ProbeRequest req;
-  req.zone = get_string(in);
-  in.expect_exhausted("probe request");
-  return req;
-}
-
-std::string MetricsRequest::encode(std::uint64_t seq) const {
-  ByteWriter out = begin_payload();
-  put_string(out, zone);
-  return finish(PacketType::kMetricsRequest, seq, out);
-}
-
-MetricsRequest MetricsRequest::decode(const storage::Frame& frame) {
-  ByteReader in = open_payload(frame, PacketType::kMetricsRequest);
-  MetricsRequest req;
-  req.zone = get_string(in);
-  in.expect_exhausted("metrics request");
-  return req;
-}
-
-std::string TraceRequest::encode(std::uint64_t seq) const {
-  ByteWriter out = begin_payload();
-  put_string(out, zone);
-  out.put_u64(max);
-  out.put_u8(slow ? 1 : 0);
-  return finish(PacketType::kTraceRequest, seq, out);
-}
-
-TraceRequest TraceRequest::decode(const storage::Frame& frame) {
-  ByteReader in = open_payload(frame, PacketType::kTraceRequest);
-  TraceRequest req;
-  req.zone = get_string(in);
-  req.max = in.get_u64();
-  req.slow = in.get_u8() != 0;
-  in.expect_exhausted("trace request");
-  return req;
-}
-
-std::string BatchIngestRequest::encode(std::uint64_t seq) const {
-  ByteWriter out = begin_payload();
-  put_string(out, zone);
-  batch.encode(out);  // the nested payload carries its own format version.
-  return finish(PacketType::kBatchIngestRequest, seq, out);
-}
-
-BatchIngestRequest BatchIngestRequest::decode(const storage::Frame& frame) {
-  ByteReader in = open_payload(frame, PacketType::kBatchIngestRequest);
-  BatchIngestRequest req;
-  req.zone = get_string(in);
-  req.batch = ingest::NodeBatch::decode(in);
-  in.expect_exhausted("batch ingest request");
-  return req;
-}
-
-// -- responses --
-
-std::string ErrorResponse::encode(std::uint64_t seq) const {
-  ByteWriter out = begin_payload();
-  out.put_u8(static_cast<std::uint8_t>(status));
-  put_string(out, message);
-  return finish(PacketType::kError, seq, out);
-}
-
-ErrorResponse ErrorResponse::decode(const storage::Frame& frame) {
-  ByteReader in = open_payload(frame, PacketType::kError);
-  ErrorResponse res;
-  res.status = get_status(in);
-  res.message = get_string(in);
-  in.expect_exhausted("error response");
-  return res;
-}
-
-std::string LocalizeResponse::encode(std::uint64_t seq) const {
-  ByteWriter out = begin_payload();
-  out.put_u8(static_cast<std::uint8_t>(status));
-  put_string(out, message);
-  out.put_f64(x);
-  out.put_f64(y);
-  out.put_f64(confidence);
-  out.put_u8(served ? 1 : 0);
-  out.put_u8(degraded ? 1 : 0);
-  out.put_u64(links_used);
-  return finish(PacketType::kLocalizeResponse, seq, out);
-}
-
-LocalizeResponse LocalizeResponse::decode(const storage::Frame& frame) {
-  ByteReader in = open_payload(frame, PacketType::kLocalizeResponse);
-  LocalizeResponse res;
-  res.status = get_status(in);
-  res.message = get_string(in);
-  res.x = in.get_f64();
-  res.y = in.get_f64();
-  res.confidence = in.get_f64();
-  res.served = in.get_u8() != 0;
-  res.degraded = in.get_u8() != 0;
-  res.links_used = in.get_u64();
-  in.expect_exhausted("localize response");
-  return res;
-}
-
-std::string AmbientResponse::encode(std::uint64_t seq) const {
-  ByteWriter out = begin_payload();
-  out.put_u8(static_cast<std::uint8_t>(status));
-  put_string(out, message);
-  out.put_u8(accepted ? 1 : 0);
-  out.put_u8(sample_accepted ? 1 : 0);
-  out.put_u8(triggered ? 1 : 0);
-  out.put_f64(staleness_db);
-  return finish(PacketType::kAmbientResponse, seq, out);
-}
-
-AmbientResponse AmbientResponse::decode(const storage::Frame& frame) {
-  ByteReader in = open_payload(frame, PacketType::kAmbientResponse);
-  AmbientResponse res;
-  res.status = get_status(in);
-  res.message = get_string(in);
-  res.accepted = in.get_u8() != 0;
-  res.sample_accepted = in.get_u8() != 0;
-  res.triggered = in.get_u8() != 0;
-  res.staleness_db = in.get_f64();
-  in.expect_exhausted("ambient response");
-  return res;
-}
-
-std::string ResurveyResponse::encode(std::uint64_t seq) const {
-  ByteWriter out = begin_payload();
-  out.put_u8(static_cast<std::uint8_t>(status));
-  put_string(out, message);
-  out.put_u8(accepted ? 1 : 0);
-  return finish(PacketType::kResurveyResponse, seq, out);
-}
-
-ResurveyResponse ResurveyResponse::decode(const storage::Frame& frame) {
-  ByteReader in = open_payload(frame, PacketType::kResurveyResponse);
-  ResurveyResponse res;
-  res.status = get_status(in);
-  res.message = get_string(in);
-  res.accepted = in.get_u8() != 0;
-  in.expect_exhausted("resurvey response");
-  return res;
-}
-
-std::string StatusResponse::encode(std::uint64_t seq) const {
-  ByteWriter out = begin_payload();
-  out.put_u8(static_cast<std::uint8_t>(status));
-  put_string(out, message);
-  out.put_u64(zones.size());
-  for (const ZoneStatus& z : zones) {
-    put_string(out, z.zone);
-    put_string(out, z.state);
-    out.put_u64(z.queries);
-    out.put_u64(z.updates_committed);
-    out.put_u64(z.updates_failed);
-    out.put_u8(z.update_in_flight ? 1 : 0);
-    out.put_f64(z.staleness_db);
-    out.put_f64(z.clock_days);
-    out.put_u64(z.wal_sequence);
-    put_string(out, z.kernel_backend);
-    out.put_u8(z.quantized_tier ? 1 : 0);
-    out.put_u64(z.slo_ok);
-    out.put_u64(z.slo_violated);
-    out.put_f64(z.slo_budget_remaining);
-    out.put_u8(z.slo_degraded ? 1 : 0);
-    put_string(out, z.last_error);
-  }
-  return finish(PacketType::kStatusResponse, seq, out);
-}
-
-StatusResponse StatusResponse::decode(const storage::Frame& frame) {
-  ByteReader in = open_payload(frame, PacketType::kStatusResponse);
-  StatusResponse res;
-  res.status = get_status(in);
-  res.message = get_string(in);
-  const std::uint64_t count = in.get_u64();
-  in.require_elements(count, 8, "status zone entries");
-  res.zones.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    ZoneStatus z;
-    z.zone = get_string(in);
-    z.state = get_string(in);
-    z.queries = in.get_u64();
-    z.updates_committed = in.get_u64();
-    z.updates_failed = in.get_u64();
-    z.update_in_flight = in.get_u8() != 0;
-    z.staleness_db = in.get_f64();
-    z.clock_days = in.get_f64();
-    z.wal_sequence = in.get_u64();
-    z.kernel_backend = get_string(in);
-    z.quantized_tier = in.get_u8() != 0;
-    z.slo_ok = in.get_u64();
-    z.slo_violated = in.get_u64();
-    z.slo_budget_remaining = in.get_f64();
-    z.slo_degraded = in.get_u8() != 0;
-    z.last_error = get_string(in);
-    res.zones.push_back(std::move(z));
-  }
-  in.expect_exhausted("status response");
-  return res;
-}
-
-std::string AdminResponse::encode(std::uint64_t seq) const {
-  ByteWriter out = begin_payload();
-  out.put_u8(static_cast<std::uint8_t>(status));
-  put_string(out, message);
-  return finish(PacketType::kAdminResponse, seq, out);
-}
-
-AdminResponse AdminResponse::decode(const storage::Frame& frame) {
-  ByteReader in = open_payload(frame, PacketType::kAdminResponse);
-  AdminResponse res;
-  res.status = get_status(in);
-  res.message = get_string(in);
-  in.expect_exhausted("admin response");
-  return res;
-}
-
-std::string ProbeResponse::encode(std::uint64_t seq) const {
-  ByteWriter out = begin_payload();
-  out.put_u8(static_cast<std::uint8_t>(status));
-  put_string(out, message);
-  out.put_f64(truth_x);
-  out.put_f64(truth_y);
-  out.put_f64(estimate_x);
-  out.put_f64(estimate_y);
-  out.put_f64(error_m);
-  out.put_u8(degraded ? 1 : 0);
-  return finish(PacketType::kProbeResponse, seq, out);
-}
-
-ProbeResponse ProbeResponse::decode(const storage::Frame& frame) {
-  ByteReader in = open_payload(frame, PacketType::kProbeResponse);
-  ProbeResponse res;
-  res.status = get_status(in);
-  res.message = get_string(in);
-  res.truth_x = in.get_f64();
-  res.truth_y = in.get_f64();
-  res.estimate_x = in.get_f64();
-  res.estimate_y = in.get_f64();
-  res.error_m = in.get_f64();
-  res.degraded = in.get_u8() != 0;
-  in.expect_exhausted("probe response");
-  return res;
-}
-
-std::string MetricsResponse::encode(std::uint64_t seq) const {
-  ByteWriter out = begin_payload();
-  out.put_u8(static_cast<std::uint8_t>(status));
-  put_string(out, message);
-  out.put_u64(zones.size());
-  for (const ZoneMetrics& z : zones) {
-    put_string(out, z.zone);
-    put_string(out, z.state);
-    out.put_u64(z.uptime_ns);
-    out.put_u64(z.spans_recorded);
-    out.put_u64(z.spans_dropped);
-    out.put_u64(z.counters.size());
-    for (const auto& [name, value] : z.counters) {
-      put_string(out, name);
-      out.put_u64(value);
-    }
-    out.put_u64(z.gauges.size());
-    for (const auto& [name, value] : z.gauges) {
-      put_string(out, name);
-      out.put_f64(value);
-    }
-    out.put_u64(z.histograms.size());
-    for (const WireHistogram& h : z.histograms) {
-      put_string(out, h.name);
-      out.put_u64(h.count);
-      out.put_f64(h.sum);
-      out.put_f64(h.min);
-      out.put_f64(h.max);
-      out.put_f64(h.p50);
-      out.put_f64(h.p95);
-      out.put_f64(h.p99);
-    }
-  }
-  return finish(PacketType::kMetricsResponse, seq, out);
-}
-
-MetricsResponse MetricsResponse::decode(const storage::Frame& frame) {
-  ByteReader in = open_payload(frame, PacketType::kMetricsResponse);
-  MetricsResponse res;
-  res.status = get_status(in);
-  res.message = get_string(in);
-  const std::uint64_t zone_count = in.get_u64();
-  in.require_elements(zone_count, 8, "metrics zone entries");
-  res.zones.reserve(zone_count);
-  for (std::uint64_t i = 0; i < zone_count; ++i) {
-    ZoneMetrics z;
-    z.zone = get_string(in);
-    z.state = get_string(in);
-    z.uptime_ns = in.get_u64();
-    z.spans_recorded = in.get_u64();
-    z.spans_dropped = in.get_u64();
-    const std::uint64_t counters = in.get_u64();
-    in.require_elements(counters, 8, "metrics counters");
-    z.counters.reserve(counters);
-    for (std::uint64_t c = 0; c < counters; ++c) {
-      std::string name = get_string(in);
-      z.counters.emplace_back(std::move(name), in.get_u64());
-    }
-    const std::uint64_t gauges = in.get_u64();
-    in.require_elements(gauges, 8, "metrics gauges");
-    z.gauges.reserve(gauges);
-    for (std::uint64_t g = 0; g < gauges; ++g) {
-      std::string name = get_string(in);
-      z.gauges.emplace_back(std::move(name), in.get_f64());
-    }
-    const std::uint64_t histograms = in.get_u64();
-    in.require_elements(histograms, 8, "metrics histograms");
-    z.histograms.reserve(histograms);
-    for (std::uint64_t h = 0; h < histograms; ++h) {
-      WireHistogram hist;
-      hist.name = get_string(in);
-      hist.count = in.get_u64();
-      hist.sum = in.get_f64();
-      hist.min = in.get_f64();
-      hist.max = in.get_f64();
-      hist.p50 = in.get_f64();
-      hist.p95 = in.get_f64();
-      hist.p99 = in.get_f64();
-      z.histograms.push_back(std::move(hist));
-    }
-    res.zones.push_back(std::move(z));
-  }
-  in.expect_exhausted("metrics response");
-  return res;
-}
-
-std::string TraceResponse::encode(std::uint64_t seq) const {
-  ByteWriter out = begin_payload();
-  out.put_u8(static_cast<std::uint8_t>(status));
-  put_string(out, message);
-  put_string(out, jsonl);
-  out.put_u64(total_recorded);
-  out.put_u64(dropped);
-  return finish(PacketType::kTraceResponse, seq, out);
-}
-
-TraceResponse TraceResponse::decode(const storage::Frame& frame) {
-  ByteReader in = open_payload(frame, PacketType::kTraceResponse);
-  TraceResponse res;
-  res.status = get_status(in);
-  res.message = get_string(in);
-  res.jsonl = get_string(in);
-  res.total_recorded = in.get_u64();
-  res.dropped = in.get_u64();
-  in.expect_exhausted("trace response");
-  return res;
-}
-
-std::string BatchIngestResponse::encode(std::uint64_t seq) const {
-  ByteWriter out = begin_payload();
-  out.put_u8(static_cast<std::uint8_t>(status));
-  put_string(out, message);
-  out.put_u64(readings);
-  out.put_u64(dups_dropped);
-  out.put_u64(stale_dropped);
-  out.put_u64(bad_readings);
-  out.put_u64(rounds_completed);
-  out.put_u64(gated_ambient);
-  out.put_u64(admitted_queries);
-  out.put_f64(last_motion_db);
-  out.put_u64(queries.size());
-  for (const IngestQuery& q : queries) {
-    out.put_f64(q.t_days);
-    out.put_f64(q.motion_db);
-    out.put_f64(q.x);
-    out.put_f64(q.y);
-    out.put_f64(q.confidence);
-    out.put_u8(q.served ? 1 : 0);
-    out.put_u8(q.degraded ? 1 : 0);
-    out.put_u64(q.links_used);
-  }
-  return finish(PacketType::kBatchIngestResponse, seq, out);
-}
-
-BatchIngestResponse BatchIngestResponse::decode(const storage::Frame& frame) {
-  ByteReader in = open_payload(frame, PacketType::kBatchIngestResponse);
-  BatchIngestResponse res;
-  res.status = get_status(in);
-  res.message = get_string(in);
-  res.readings = in.get_u64();
-  res.dups_dropped = in.get_u64();
-  res.stale_dropped = in.get_u64();
-  res.bad_readings = in.get_u64();
-  res.rounds_completed = in.get_u64();
-  res.gated_ambient = in.get_u64();
-  res.admitted_queries = in.get_u64();
-  res.last_motion_db = in.get_f64();
-  const std::uint64_t count = in.get_u64();
-  in.require_elements(count, 50, "ingest query entries");
-  res.queries.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    IngestQuery q;
-    q.t_days = in.get_f64();
-    q.motion_db = in.get_f64();
-    q.x = in.get_f64();
-    q.y = in.get_f64();
-    q.confidence = in.get_f64();
-    q.served = in.get_u8() != 0;
-    q.degraded = in.get_u8() != 0;
-    q.links_used = in.get_u64();
-    res.queries.push_back(q);
-  }
-  in.expect_exhausted("batch ingest response");
-  return res;
-}
+#undef TAFLOC_WIRE_CODEC
 
 ExtractResult extract_packet(std::string& buffer, storage::Frame& out, std::string* error) {
   std::size_t pos = 0;

@@ -275,6 +275,43 @@ TEST(DaemonWire, TruncatedPayloadIsRejected) {
   EXPECT_THROW((void)LocalizeRequest::decode(reframe(reframed)), std::runtime_error);
 }
 
+// Frame a hand-built payload: wire version, then `body`.
+storage::Frame hand_built(PacketType type, const storage::ByteWriter& body) {
+  storage::ByteWriter payload;
+  payload.put_u32(kWireVersion);
+  payload.put_bytes({reinterpret_cast<const std::uint8_t*>(body.bytes().data()), body.size()});
+  return reframe(storage::encode_frame(static_cast<std::uint32_t>(type), 1, payload.bytes()));
+}
+
+TEST(DaemonWire, OutOfRangeEnumsAndAbsurdCountsAreRejected) {
+  for (const std::uint8_t op : {0, 4}) {
+    storage::ByteWriter body;
+    body.put_u8(op);
+    body.put_u64(0);  // empty zone name.
+    EXPECT_THROW((void)AdminRequest::decode(hand_built(PacketType::kAdminRequest, body)),
+                 std::runtime_error)
+        << "admin op " << int(op);
+  }
+  storage::ByteWriter status;
+  status.put_u8(5);  // one past kInternalError.
+  status.put_u64(0);
+  EXPECT_THROW((void)ErrorResponse::decode(hand_built(PacketType::kError, status)),
+               std::runtime_error);
+
+  // A declared entry count the payload cannot hold fails before any
+  // entry is allocated.
+  for (const std::uint64_t count : {std::uint64_t{1}, std::uint64_t{1} << 40}) {
+    storage::ByteWriter body;
+    body.put_u8(0);
+    body.put_u64(0);
+    body.put_u64(count);
+    EXPECT_THROW((void)StatusResponse::decode(hand_built(PacketType::kStatusResponse, body)),
+                 std::runtime_error);
+    EXPECT_THROW((void)MetricsResponse::decode(hand_built(PacketType::kMetricsResponse, body)),
+                 std::runtime_error);
+  }
+}
+
 TEST(DaemonWire, ExtractPacketStreamsAndDetectsCorruption) {
   const std::string a = StatusRequest{"office"}.encode(1);
   const std::string b = ProbeRequest{"lab"}.encode(2);
