@@ -27,6 +27,10 @@ class ArgParser {
   double get_double(const std::string& key, double fallback) const;
   long get_long(const std::string& key, long fallback) const;
 
+  /// Comma-separated numbers (`--key=1,2.5,-3`); throws
+  /// std::invalid_argument on an empty element or a non-numeric one.
+  std::vector<double> get_doubles(const std::string& key, std::vector<double> fallback) const;
+
   /// Boolean: `--key` alone or `--key=true/false/1/0`.
   bool get_bool(const std::string& key, bool fallback) const;
 

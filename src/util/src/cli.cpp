@@ -1,5 +1,6 @@
 #include "tafloc/util/cli.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -37,6 +38,28 @@ double ArgParser::get_double(const std::string& key, double fallback) const {
   if (end == it->second.c_str() || *end != '\0')
     throw std::invalid_argument("--" + key + " expects a number, got '" + it->second + "'");
   return v;
+}
+
+std::vector<double> ArgParser::get_doubles(const std::string& key,
+                                           std::vector<double> fallback) const {
+  const auto it = values_.find(key);
+  if (it == values_.end()) return fallback;
+  const std::string& list = it->second;
+  std::vector<double> values;
+  std::size_t pos = 0;
+  for (;;) {
+    const std::size_t comma = std::min(list.find(',', pos), list.size());
+    const std::string item = list.substr(pos, comma - pos);
+    char* end = nullptr;
+    const double v = std::strtod(item.c_str(), &end);
+    if (item.empty() || end != item.c_str() + item.size()) {
+      throw std::invalid_argument("--" + key + " expects comma-separated numbers, got '" + list +
+                                  "'");
+    }
+    values.push_back(v);
+    if (comma == list.size()) return values;
+    pos = comma + 1;
+  }
 }
 
 long ArgParser::get_long(const std::string& key, long fallback) const {

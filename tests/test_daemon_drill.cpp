@@ -9,19 +9,16 @@
 //   - SLO accounting burns the error budget and flags degraded-slo,
 //   - a version-skewed packet mid-stream corrupts nothing.
 #include <gtest/gtest.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
-#include <cstring>
 #include <filesystem>
 #include <set>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "tafloc/daemon/client.h"
 #include "tafloc/daemon/daemon.h"
 #include "tafloc/sim/scenario.h"
 #include "tafloc/util/rng.h"
@@ -36,49 +33,6 @@ constexpr int kFaultEvery = 25;     // ordinals 25/50/75/100 -> seqs 24/49/74/99
 constexpr double kFaultMs = 60.0;   // far above...
 constexpr double kSlowMs = 20.0;    // ...the slow threshold and
 constexpr double kDeadlineMs = 20.0;  // the SLO deadline.
-
-class DrillClient {
- public:
-  explicit DrillClient(const std::string& path) {
-    fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd_ < 0) throw std::runtime_error("socket() failed");
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-    if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-      ::close(fd_);
-      throw std::runtime_error("connect() failed: " + path);
-    }
-  }
-  ~DrillClient() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-
-  void send(const std::string& bytes) {
-    std::size_t off = 0;
-    while (off < bytes.size()) {
-      const ssize_t n = ::write(fd_, bytes.data() + off, bytes.size() - off);
-      ASSERT_GT(n, 0);
-      off += static_cast<std::size_t>(n);
-    }
-  }
-
-  bool recv_frame(storage::Frame& out) {
-    while (true) {
-      ExtractResult r = extract_packet(buffer_, out);
-      if (r == ExtractResult::kPacket) return true;
-      if (r == ExtractResult::kCorrupt) return false;
-      char chunk[4096];
-      const ssize_t n = ::read(fd_, chunk, sizeof chunk);
-      if (n <= 0) return false;
-      buffer_.append(chunk, static_cast<std::size_t>(n));
-    }
-  }
-
- private:
-  int fd_ = -1;
-  std::string buffer_;
-};
 
 int count_lines(const std::string& text) {
   int lines = 0;
@@ -123,13 +77,13 @@ TEST(DaemonDrill, HundredQueryTraceSloAndSlowLogDrill) {
   }
 
   {
-    DrillClient client(socket_path);
+    Client client(socket_path);
     storage::Frame frame;
     for (int i = 1; i <= kQueries; ++i) {
       LocalizeRequest req{"office", queries[static_cast<std::size_t>(i - 1)]};
       req.trace_id = static_cast<std::uint64_t>(1000 + i);
       client.send(req.encode(static_cast<std::uint64_t>(i)));
-      ASSERT_TRUE(client.recv_frame(frame)) << "query " << i;
+      ASSERT_TRUE(client.recv(frame)) << "query " << i;
       const LocalizeResponse res = LocalizeResponse::decode(frame);
       ASSERT_EQ(res.status, WireStatus::kOk) << "query " << i;
       EXPECT_TRUE(res.served);
@@ -146,7 +100,7 @@ TEST(DaemonDrill, HundredQueryTraceSloAndSlowLogDrill) {
         client.send(storage::encode_frame(
             static_cast<std::uint32_t>(PacketType::kLocalizeRequest), 9000,
             old_payload.bytes()));
-        ASSERT_TRUE(client.recv_frame(frame));
+        ASSERT_TRUE(client.recv(frame));
         ASSERT_EQ(frame.type, static_cast<std::uint32_t>(PacketType::kError));
         const ErrorResponse err = ErrorResponse::decode(frame);
         EXPECT_EQ(err.status, WireStatus::kBadRequest);
@@ -156,7 +110,7 @@ TEST(DaemonDrill, HundredQueryTraceSloAndSlowLogDrill) {
 
     // ---- `taflocctl top` inputs: metrics + status over the wire.
     client.send(MetricsRequest{""}.encode(9001));
-    ASSERT_TRUE(client.recv_frame(frame));
+    ASSERT_TRUE(client.recv(frame));
     const MetricsResponse metrics = MetricsResponse::decode(frame);
     ASSERT_EQ(metrics.status, WireStatus::kOk);
     ASSERT_EQ(metrics.zones.size(), 2u);
@@ -183,7 +137,7 @@ TEST(DaemonDrill, HundredQueryTraceSloAndSlowLogDrill) {
     EXPECT_GT(qps, 0.0);
 
     client.send(StatusRequest{"office"}.encode(9002));
-    ASSERT_TRUE(client.recv_frame(frame));
+    ASSERT_TRUE(client.recv(frame));
     const StatusResponse status = StatusResponse::decode(frame);
     ASSERT_EQ(status.zones.size(), 1u);
     const ZoneStatus& z = status.zones[0];
@@ -196,7 +150,7 @@ TEST(DaemonDrill, HundredQueryTraceSloAndSlowLogDrill) {
 
     // ---- `taflocctl trace --slow`: the forced-slow requests, exactly.
     client.send(TraceRequest{"office", 0, true}.encode(9003));
-    ASSERT_TRUE(client.recv_frame(frame));
+    ASSERT_TRUE(client.recv(frame));
     const TraceResponse slow = TraceResponse::decode(frame);
     ASSERT_EQ(slow.status, WireStatus::kOk);
     EXPECT_EQ(slow.total_recorded, 4u);
@@ -216,7 +170,7 @@ TEST(DaemonDrill, HundredQueryTraceSloAndSlowLogDrill) {
 
     // ---- sampled traces over the wire parse and carry stages.
     client.send(TraceRequest{"office", 8, false}.encode(9004));
-    ASSERT_TRUE(client.recv_frame(frame));
+    ASSERT_TRUE(client.recv(frame));
     const TraceResponse ring = TraceResponse::decode(frame);
     ASSERT_EQ(ring.status, WireStatus::kOk);
     EXPECT_EQ(ring.total_recorded, static_cast<std::uint64_t>(kQueries));

@@ -2,19 +2,16 @@
 // type and fault-containment path, plus a socket-level round trip over
 // a live event loop.
 #include <gtest/gtest.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <thread>
 
+#include "tafloc/daemon/client.h"
 #include "tafloc/daemon/daemon.h"
 #include "tafloc/sim/scenario.h"
 #include "tafloc/util/rng.h"
@@ -311,50 +308,6 @@ TEST(ZoneManagerTelemetry, ExportWritesOneLabeledFilePerZone) {
 
 // ---- socket level: the full loop -> accept -> frame -> dispatch path.
 
-class RawClient {
- public:
-  explicit RawClient(const std::string& path) {
-    fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd_ < 0) throw std::runtime_error("socket() failed");
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-    if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-      ::close(fd_);
-      throw std::runtime_error("connect() failed: " + path);
-    }
-  }
-  ~RawClient() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-
-  void send(const std::string& bytes) {
-    std::size_t off = 0;
-    while (off < bytes.size()) {
-      const ssize_t n = ::write(fd_, bytes.data() + off, bytes.size() - off);
-      ASSERT_GT(n, 0);
-      off += static_cast<std::size_t>(n);
-    }
-  }
-
-  /// Blocking read until one whole frame (or peer close -> kEof).
-  bool recv_frame(storage::Frame& out) {
-    std::string buffer;
-    char chunk[4096];
-    while (true) {
-      ExtractResult r = extract_packet(buffer, out);
-      if (r == ExtractResult::kPacket) return true;
-      if (r == ExtractResult::kCorrupt) return false;
-      const ssize_t n = ::read(fd_, chunk, sizeof chunk);
-      if (n <= 0) return false;
-      buffer.append(chunk, static_cast<std::size_t>(n));
-    }
-  }
-
- private:
-  int fd_ = -1;
-};
-
 TEST(ControlServerSocket, ServesFramesAndSurvivesGarbage) {
   const std::string socket_path =
       (fs::temp_directory_path() / ("tafloc_daemon_sock_" + std::to_string(::getpid()))).string();
@@ -369,38 +322,38 @@ TEST(ControlServerSocket, ServesFramesAndSurvivesGarbage) {
   std::thread loop_thread([&loop] { loop.run(50); });
 
   {
-    RawClient client(socket_path);
+    Client client(socket_path);
     client.send(StatusRequest{""}.encode(1));
     storage::Frame frame;
-    ASSERT_TRUE(client.recv_frame(frame));
+    ASSERT_TRUE(client.recv(frame));
     const StatusResponse status = StatusResponse::decode(frame);
     ASSERT_EQ(status.zones.size(), 1u);
     EXPECT_EQ(status.zones[0].zone, "office");
 
     // Two packets in one write: both must be answered, in order.
     client.send(ProbeRequest{"office"}.encode(2) + StatusRequest{"office"}.encode(3));
-    ASSERT_TRUE(client.recv_frame(frame));
+    ASSERT_TRUE(client.recv(frame));
     EXPECT_EQ(frame.seq, 2u);
-    ASSERT_TRUE(client.recv_frame(frame));
+    ASSERT_TRUE(client.recv(frame));
     EXPECT_EQ(frame.seq, 3u);
   }
 
   {
     // Garbage bytes: the daemon replies with one error packet (best
     // effort) and closes this connection -- and only this connection.
-    RawClient garbage(socket_path);
+    Client garbage(socket_path);
     garbage.send(std::string(64, '\xfe'));
     storage::Frame frame;
-    while (garbage.recv_frame(frame)) {
+    while (garbage.recv(frame)) {
     }  // drain until the daemon closes on us.
   }
 
   {
     // The daemon is still healthy for a fresh client.
-    RawClient again(socket_path);
+    Client again(socket_path);
     again.send(ProbeRequest{"office"}.encode(9));
     storage::Frame frame;
-    ASSERT_TRUE(again.recv_frame(frame));
+    ASSERT_TRUE(again.recv(frame));
     const ProbeResponse probe = ProbeResponse::decode(frame);
     EXPECT_EQ(probe.status, WireStatus::kOk);
   }

@@ -140,6 +140,18 @@ TEST(ArgParser, ThrowsOnUnparsableNumber) {
   EXPECT_THROW(args.get_long("x", 0), std::invalid_argument);
 }
 
+TEST(ArgParser, ParsesCommaSeparatedDoubles) {
+  const char* argv[] = {"prog", "--qps=25,50.5,-1e2", "--one=7", "--gap=1,,2",
+                        "--lead=,1", "--trail=1,", "--empty=", "--tail=1,2x", "--word=1,abc"};
+  ArgParser args(9, argv);
+  EXPECT_EQ(args.get_doubles("qps", {}), (std::vector<double>{25.0, 50.5, -100.0}));
+  EXPECT_EQ(args.get_doubles("one", {}), std::vector<double>{7.0});
+  EXPECT_EQ(args.get_doubles("absent", {1.0, 2.0}), (std::vector<double>{1.0, 2.0}));
+  for (const char* key : {"gap", "lead", "trail", "empty", "tail", "word"}) {
+    EXPECT_THROW(args.get_doubles(key, {}), std::invalid_argument) << key;
+  }
+}
+
 TEST(ArgParser, CollectsPositionals) {
   const char* argv[] = {"prog", "file1", "--k=v", "file2"};
   ArgParser args(4, argv);

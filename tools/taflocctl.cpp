@@ -20,18 +20,11 @@
 //
 // Exit status: 0 when the daemon answered with wire status ok, 1 on a
 // daemon-side error status, 2 on usage/connection errors.
-#include <errno.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
 #include <cstdio>
-#include <cstring>
 #include <exception>
-#include <stdexcept>
 #include <string>
-#include <vector>
 
+#include "tafloc/daemon/client.h"
 #include "tafloc/daemon/wire.h"
 #include "tafloc/util/cli.h"
 
@@ -55,75 +48,6 @@ int usage() {
                "  reload | shutdown\n");
   return 2;
 }
-
-std::vector<double> parse_csv(const std::string& csv) {
-  std::vector<double> values;
-  std::size_t pos = 0;
-  while (pos <= csv.size()) {
-    const std::size_t comma = csv.find(',', pos);
-    const std::string item =
-        csv.substr(pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    if (item.empty()) throw std::runtime_error("empty element in list '" + csv + "'");
-    std::size_t consumed = 0;
-    values.push_back(std::stod(item, &consumed));
-    if (consumed != item.size()) throw std::runtime_error("bad number '" + item + "'");
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return values;
-}
-
-class Client {
- public:
-  explicit Client(const std::string& socket_path) {
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (socket_path.size() >= sizeof(addr.sun_path)) {
-      throw std::runtime_error("socket path too long: " + socket_path);
-    }
-    std::memcpy(addr.sun_path, socket_path.c_str(), socket_path.size() + 1);
-    fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd_ < 0) throw std::runtime_error("socket() failed");
-    if (::connect(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0) {
-      const std::string why = std::strerror(errno);
-      ::close(fd_);
-      fd_ = -1;
-      throw std::runtime_error("cannot connect to " + socket_path + ": " + why);
-    }
-  }
-  ~Client() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-
-  /// Send one encoded request, block until one complete frame returns.
-  storage::Frame round_trip(const std::string& request) {
-    std::size_t sent = 0;
-    while (sent < request.size()) {
-      const ssize_t n = ::write(fd_, request.data() + sent, request.size() - sent);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) throw std::runtime_error("write to daemon failed");
-      sent += static_cast<std::size_t>(n);
-    }
-    storage::Frame frame;
-    for (;;) {
-      std::string error;
-      const ExtractResult result = extract_packet(buffer_, frame, &error);
-      if (result == ExtractResult::kPacket) return frame;
-      if (result == ExtractResult::kCorrupt) {
-        throw std::runtime_error("corrupt response from daemon: " + error);
-      }
-      char buf[4096];
-      const ssize_t n = ::read(fd_, buf, sizeof buf);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) throw std::runtime_error("daemon closed the connection");
-      buffer_.append(buf, static_cast<std::size_t>(n));
-    }
-  }
-
- private:
-  int fd_ = -1;
-  std::string buffer_;
-};
 
 /// kError replies can answer any request type; report and exit 1.
 bool maybe_error(const storage::Frame& frame) {
@@ -193,7 +117,7 @@ int main(int argc, char** argv) {
 
     if (command == "localize") {
       if (zone.empty() || !args.has("rss")) return usage();
-      LocalizeRequest req{zone, parse_csv(args.get_string("rss", ""))};
+      LocalizeRequest req{zone, args.get_doubles("rss", {})};
       req.trace_id = static_cast<std::uint64_t>(args.get_long("trace_id", 0));
       req.trace_sampled = args.get_bool("trace", false) || req.trace_id != 0;
       const storage::Frame frame = client.round_trip(req.encode(seq));
@@ -228,8 +152,7 @@ int main(int argc, char** argv) {
 
     if (command == "observe") {
       if (zone.empty() || !args.has("t") || !args.has("ambient")) return usage();
-      AmbientRequest req{zone, parse_csv(args.get_string("ambient", "")),
-                         args.get_double("t", 0.0)};
+      AmbientRequest req{zone, args.get_doubles("ambient", {}), args.get_double("t", 0.0)};
       const storage::Frame frame = client.round_trip(req.encode(seq));
       if (maybe_error(frame)) return 1;
       const AmbientResponse res = AmbientResponse::decode(frame);

@@ -26,21 +26,16 @@
 //
 // Exit status: 0 on success, 1 when the daemon rejected traffic with a
 // non-ok status other than shedding, 2 on usage/connection errors.
-#include <errno.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <exception>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "tafloc/daemon/client.h"
 #include "tafloc/daemon/wire.h"
 #include "tafloc/sim/node_net.h"
 #include "tafloc/sim/scenario.h"
@@ -60,74 +55,6 @@ int usage() {
                "  [--t-start=0.0] [--t-step=2e-4] [--out=BENCH_serving.json]\n");
   return 2;
 }
-
-std::vector<double> parse_csv(const std::string& csv) {
-  std::vector<double> values;
-  std::size_t pos = 0;
-  while (pos <= csv.size()) {
-    const std::size_t comma = csv.find(',', pos);
-    const std::string item =
-        csv.substr(pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    if (item.empty()) throw std::runtime_error("empty element in list '" + csv + "'");
-    std::size_t consumed = 0;
-    values.push_back(std::stod(item, &consumed));
-    if (consumed != item.size()) throw std::runtime_error("bad number '" + item + "'");
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return values;
-}
-
-class Client {
- public:
-  explicit Client(const std::string& socket_path) {
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (socket_path.size() >= sizeof(addr.sun_path)) {
-      throw std::runtime_error("socket path too long: " + socket_path);
-    }
-    std::memcpy(addr.sun_path, socket_path.c_str(), socket_path.size() + 1);
-    fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd_ < 0) throw std::runtime_error("socket() failed");
-    if (::connect(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0) {
-      const std::string why = std::strerror(errno);
-      ::close(fd_);
-      fd_ = -1;
-      throw std::runtime_error("cannot connect to " + socket_path + ": " + why);
-    }
-  }
-  ~Client() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-
-  storage::Frame round_trip(const std::string& request) {
-    std::size_t sent = 0;
-    while (sent < request.size()) {
-      const ssize_t n = ::write(fd_, request.data() + sent, request.size() - sent);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) throw std::runtime_error("write to daemon failed");
-      sent += static_cast<std::size_t>(n);
-    }
-    storage::Frame frame;
-    for (;;) {
-      std::string error;
-      const ExtractResult result = extract_packet(buffer_, frame, &error);
-      if (result == ExtractResult::kPacket) return frame;
-      if (result == ExtractResult::kCorrupt) {
-        throw std::runtime_error("corrupt response from daemon: " + error);
-      }
-      char buf[4096];
-      const ssize_t n = ::read(fd_, buf, sizeof buf);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) throw std::runtime_error("daemon closed the connection");
-      buffer_.append(buf, static_cast<std::size_t>(n));
-    }
-  }
-
- private:
-  int fd_ = -1;
-  std::string buffer_;
-};
 
 /// Per-QPS-step aggregates, client side + daemon-reported.
 struct StepStats {
@@ -215,7 +142,7 @@ int main(int argc, char** argv) {
   }
 
   try {
-    const std::vector<double> qps_steps = parse_csv(args.get_string("qps", "25,50,100"));
+    const std::vector<double> qps_steps = args.get_doubles("qps", {25.0, 50.0, 100.0});
     for (const double qps : qps_steps) {
       if (!(qps > 0.0)) throw std::runtime_error("qps values must be positive");
     }
