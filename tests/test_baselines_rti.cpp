@@ -36,7 +36,9 @@ TEST_F(RtiTest, WeightsScaleInverseSqrtLinkLength) {
   const Matrix& w = rti.weight_model();
   const double expected = 1.0 / std::sqrt(scenario_.deployment().links()[0].length());
   for (std::size_t j = 0; j < w.cols(); ++j) {
-    if (w(0, j) != 0.0) EXPECT_NEAR(w(0, j), expected, 1e-12);
+    if (w(0, j) != 0.0) {
+      EXPECT_NEAR(w(0, j), expected, 1e-12);
+    }
   }
 }
 

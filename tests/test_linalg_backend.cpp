@@ -86,7 +86,9 @@ TEST(KernelBackend, SetSelectsActiveTable) {
 TEST(KernelBackend, SpecificTableLookup) {
   EXPECT_EQ(kernel_ops(KernelBackend::kScalar).id, KernelBackend::kScalar);
   EXPECT_THROW(kernel_ops(KernelBackend::kAuto), std::invalid_argument);
-  if (!cpu_supports_avx2()) EXPECT_THROW(kernel_ops(KernelBackend::kAvx2), std::invalid_argument);
+  if (!cpu_supports_avx2()) {
+    EXPECT_THROW(kernel_ops(KernelBackend::kAvx2), std::invalid_argument);
+  }
 }
 
 // ---- bit-identity of the floating-point kernels ----
@@ -161,9 +163,10 @@ TEST(KernelBackend, Int8DistanceExactOnEveryBackend) {
     }
     const std::uint64_t expected = dist_sq_i8_reference(a.data(), b.data(), n);
     EXPECT_EQ(kernel_ops(KernelBackend::kScalar).dist_sq_i8(a.data(), b.data(), n), expected);
-    if (cpu_supports_avx2())
+    if (cpu_supports_avx2()) {
       EXPECT_EQ(kernel_ops(KernelBackend::kAvx2).dist_sq_i8(a.data(), b.data(), n), expected)
           << "n=" << n;
+    }
   }
 }
 
@@ -174,8 +177,9 @@ TEST(KernelBackend, Int8DistanceSurvivesWorstCaseAccumulation) {
   std::vector<std::int8_t> a(n, 127), b(n, -127);
   const std::uint64_t expected = static_cast<std::uint64_t>(n) * 254u * 254u;
   EXPECT_EQ(kernel_ops(KernelBackend::kScalar).dist_sq_i8(a.data(), b.data(), n), expected);
-  if (cpu_supports_avx2())
+  if (cpu_supports_avx2()) {
     EXPECT_EQ(kernel_ops(KernelBackend::kAvx2).dist_sq_i8(a.data(), b.data(), n), expected);
+  }
 }
 
 TEST(KernelBackend, MaskedInt8DistanceExactOnEveryBackend) {
@@ -197,11 +201,12 @@ TEST(KernelBackend, MaskedInt8DistanceExactOnEveryBackend) {
     EXPECT_EQ(kernel_ops(KernelBackend::kScalar)
                   .dist_sq_i8_masked(a.data(), b.data(), usable.data(), n),
               expected);
-    if (cpu_supports_avx2())
+    if (cpu_supports_avx2()) {
       EXPECT_EQ(kernel_ops(KernelBackend::kAvx2)
                     .dist_sq_i8_masked(a.data(), b.data(), usable.data(), n),
                 expected)
           << "n=" << n;
+    }
   }
 }
 

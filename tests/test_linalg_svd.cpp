@@ -55,7 +55,9 @@ TEST(Svd, SingularValuesSortedAndNonNegative) {
   const SvdResult svd = svd_decompose(a);
   for (std::size_t i = 0; i < svd.sigma.size(); ++i) {
     EXPECT_GE(svd.sigma[i], 0.0);
-    if (i > 0) EXPECT_LE(svd.sigma[i], svd.sigma[i - 1]);
+    if (i > 0) {
+      EXPECT_LE(svd.sigma[i], svd.sigma[i - 1]);
+    }
   }
 }
 

@@ -63,7 +63,9 @@ TEST(Trace, WaypointWalkStaysInsideAndMovesSmoothly) {
     EXPECT_LE(walk[i].x, 7.2);
     EXPECT_GE(walk[i].y, 0.0);
     EXPECT_LE(walk[i].y, 4.8);
-    if (i > 0) EXPECT_LE(distance(walk[i], walk[i - 1]), speed * dt + 1e-9);
+    if (i > 0) {
+      EXPECT_LE(distance(walk[i], walk[i - 1]), speed * dt + 1e-9);
+    }
   }
 }
 
