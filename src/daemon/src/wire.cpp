@@ -27,7 +27,6 @@ class FieldWriter {
   void put(const std::string& s) {
     out_.put_u8_span({reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
   }
-  void put(const std::vector<double>& values) { out_.put_f64_span(values); }
   void put(std::uint64_t v) { out_.put_u64(v); }
   void put(double v) { out_.put_f64(v); }
   void put(bool v) { out_.put_u8(v ? 1 : 0); }
@@ -84,7 +83,6 @@ class FieldReader {
     const std::vector<std::uint8_t> bytes = in_.get_u8_vector();
     s.assign(reinterpret_cast<const char*>(bytes.data()), bytes.size());
   }
-  void get(std::vector<double>& values) { values = in_.get_f64_vector(); }
   void get(std::uint64_t& v) { v = in_.get_u64(); }
   void get(double& v) { v = in_.get_f64(); }
   void get(bool& v) { v = in_.get_u8() != 0; }
@@ -125,9 +123,8 @@ class FieldReader {
   const char* what_;
 };
 
-/// Every payload opens with the wire version; decoding any packet from
-/// another protocol generation fails here, before a single field is
-/// trusted.
+/// A packet is one frame of type P::kType whose payload is the wire
+/// version followed by P's fields.
 template <class P>
 std::string encode_packet(const P& packet, std::uint64_t seq) {
   ByteWriter out;
@@ -137,6 +134,9 @@ std::string encode_packet(const P& packet, std::uint64_t seq) {
   return storage::encode_frame(static_cast<std::uint32_t>(P::kType), seq, out.bytes());
 }
 
+/// The packet type and the wire version are checked before a single
+/// field is trusted, so a packet from another protocol generation is
+/// rejected, never half-parsed.
 template <class P>
 P decode_packet(const storage::Frame& frame) {
   const char* what = packet_type_name(P::kType);
@@ -205,6 +205,7 @@ const char* admin_op_name(AdminOp op) {
   return "unknown";
 }
 
+// Every packet's encode/decode members, defined once over the codec above.
 #define TAFLOC_WIRE_CODEC(P)                                                            \
   std::string P::encode(std::uint64_t seq) const { return encode_packet(*this, seq); } \
   P P::decode(const storage::Frame& frame) { return decode_packet<P>(frame); }

@@ -283,7 +283,7 @@ storage::Frame hand_built(PacketType type, const storage::ByteWriter& body) {
   return reframe(storage::encode_frame(static_cast<std::uint32_t>(type), 1, payload.bytes()));
 }
 
-TEST(DaemonWire, OutOfRangeEnumsAndAbsurdCountsAreRejected) {
+TEST(DaemonWire, MalformedPayloadsAreRejected) {
   for (const std::uint8_t op : {0, 4}) {
     storage::ByteWriter body;
     body.put_u8(op);
@@ -310,6 +310,13 @@ TEST(DaemonWire, OutOfRangeEnumsAndAbsurdCountsAreRejected) {
     EXPECT_THROW((void)MetricsResponse::decode(hand_built(PacketType::kMetricsResponse, body)),
                  std::runtime_error);
   }
+
+  // Trailing bytes after the last field are as suspicious as truncation.
+  storage::ByteWriter trailing;
+  trailing.put_u64(0);  // empty zone name...
+  trailing.put_u8(7);   // ...then one byte too many.
+  EXPECT_THROW((void)StatusRequest::decode(hand_built(PacketType::kStatusRequest, trailing)),
+               std::runtime_error);
 }
 
 TEST(DaemonWire, ExtractPacketStreamsAndDetectsCorruption) {
