@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -153,10 +154,16 @@ TEST_F(StagedUpdateTest, ConcurrentSavesSerializeAgainstTheSwap) {
 
   // A drain thread hammers save() while the serving thread runs staged
   // recalibrations; without the commit lock this is a WAL-rotation
-  // use-after-free and a torn snapshot.
+  // use-after-free and a torn snapshot.  The drainer pauses 100 us
+  // between saves because the commit lock is not fair: re-locking the
+  // instant it unlocks starved the serving thread for thousands of
+  // saves (0.5 s to over 60 s per run) without adding any interleaving.
   std::atomic<bool> stop{false};
   std::thread drainer([&] {
-    while (!stop.load()) live.save();
+    while (!stop.load()) {
+      live.save();
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
   });
   for (int round = 0; round < 6; ++round) {
     const double t = 1.0 + round;
