@@ -61,7 +61,8 @@ class QuantizedTier {
 
   /// Rebuild the mirror from the current float matrix (rows = links,
   /// cols = grids).  O(links * grids).  A matrix with any non-finite
-  /// entry clears the tier instead (ready() == false).
+  /// entry, or a shape whose pre-pass keys would not fit 64 bits (see
+  /// key_index_bits), clears the tier instead (ready() == false).
   void rebuild(ConstMatrixView fingerprints);
 
   void clear();
@@ -70,6 +71,10 @@ class QuantizedTier {
   std::size_t num_links() const noexcept { return links_; }
   std::size_t num_grids() const noexcept { return grids_; }
   std::size_t padded_links() const noexcept { return padded_; }
+  /// Low bits of a pre-pass key that hold the grid index:
+  /// bit_width(num_grids() - 1).  rebuild() checks that every integer
+  /// distance, shifted left by this, still fits 64 bits.
+  unsigned key_index_bits() const noexcept { return index_bits_; }
 
   /// dB per quantization level (shared by all links).
   double scale() const noexcept { return scale_; }
@@ -96,7 +101,7 @@ class QuantizedTier {
   /// resized; reuse them across queries to amortize.  Entries of dead
   /// links (usable[i] == 0; pass an empty span for all-usable) may be
   /// non-finite -- they quantize to 0 with residual 0 and the masked
-  /// distance kernel ignores them.
+  /// pre-pass ignores them.
   void quantize_observation(std::span<const double> rss, std::span<const std::uint8_t> usable,
                             std::vector<std::int8_t>& values, std::vector<double>& residual) const;
 
@@ -104,6 +109,7 @@ class QuantizedTier {
   std::size_t links_ = 0;
   std::size_t grids_ = 0;
   std::size_t padded_ = 0;
+  unsigned index_bits_ = 0;
   double scale_ = 1.0;
   std::vector<double> offsets_;
   std::vector<std::int8_t> cells_;  ///< grids_ * padded_, grid-major.

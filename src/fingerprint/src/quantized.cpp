@@ -1,6 +1,7 @@
 #include "tafloc/fingerprint/quantized.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -12,6 +13,7 @@ void QuantizedTier::clear() {
   links_ = 0;
   grids_ = 0;
   padded_ = 0;
+  index_bits_ = 0;
   scale_ = 1.0;
   offsets_.clear();
   cells_.clear();
@@ -24,6 +26,15 @@ void QuantizedTier::rebuild(ConstMatrixView fingerprints) {
   }
   const std::size_t m = fingerprints.rows();
   const std::size_t n = fingerprints.cols();
+  // The pre-pass packs (distance, grid index) into one uint64 key: the
+  // index in the low bit_width(n - 1) bits, the largest distance any
+  // query can reach, m * 254^2, above them.  A shape that cannot pack
+  // leaves the tier not-ready, like a non-finite entry does.
+  const unsigned index_bits = static_cast<unsigned>(std::bit_width(n - 1));
+  if (std::bit_width(static_cast<std::uint64_t>(m) * 254u * 254u) + index_bits > 64) {
+    clear();
+    return;
+  }
 
   // Pass 1: per-link range.  Any non-finite entry (a faulted row not
   // yet patched) disables the tier -- the float path handles it.
@@ -45,6 +56,7 @@ void QuantizedTier::rebuild(ConstMatrixView fingerprints) {
   links_ = m;
   grids_ = n;
   padded_ = (m + kPad - 1) / kPad * kPad;
+  index_bits_ = index_bits;
   offsets_.resize(m);
 
   // Offsets on the integer grid of the quantizer (see header); the
@@ -78,7 +90,7 @@ void QuantizedTier::quantize_observation(std::span<const double> rss,
   values.assign(padded_, 0);
   residual.assign(links_, 0.0);
   for (std::size_t i = 0; i < links_; ++i) {
-    if (!usable.empty() && usable[i] == 0) continue;  // masked kernel ignores the entry
+    if (!usable.empty() && usable[i] == 0) continue;  // the masked pre-pass ignores the entry
     const std::int8_t q = quantize_level(rss[i], offsets_[i], scale_);
     values[i] = q;
     // Exact dequantization error, clamp excess included: out-of-range

@@ -20,8 +20,8 @@
 //     accumulator, and the AVX2 code uses separate multiply and add
 //     instructions (never FMA -- a fused contraction rounds once where
 //     mul+add rounds twice, which would break scalar/AVX2 identity).
-//   * The int8 distance kernels are exact integer arithmetic, so any
-//     summation order gives the same answer.
+//   * The int8 pre-pass is exact integer arithmetic, so any summation
+//     order gives the same answer.
 //   * Dot-product reductions (matrix-vector multiply, outer_product)
 //     CANNOT be vectorized under this contract -- SIMD lane partial
 //     sums reorder the accumulation -- so they stay scalar in every
@@ -40,6 +40,15 @@
 
 namespace tafloc {
 
+/// The operands of one query's int8 pre-pass over a grid-major tier.
+struct Int8Prepass {
+  const std::int8_t* query = nullptr;    ///< `padded` bytes, pad bytes 0.
+  const std::uint8_t* usable = nullptr;  ///< `padded` bytes (0 = dead), or nullptr: all usable.
+  const std::int8_t* cells = nullptr;    ///< cell j at cells + j * padded.
+  std::size_t padded = 0;                ///< bytes per cell, a multiple of 32.
+  unsigned index_bits = 0;               ///< low key bits holding the cell index.
+};
+
 /// The dispatch table: one row primitive per hot inner loop.
 struct KernelOps {
   KernelBackend id = KernelBackend::kScalar;
@@ -52,13 +61,13 @@ struct KernelOps {
   /// out[j] = a[j] * b[j] for j in [0, n).
   void (*hadamard)(const double* a, const double* b, double* out, std::size_t n);
 
-  /// Sum over j of (a[j] - b[j])^2, exact 64-bit integer arithmetic.
-  /// The quantized fingerprint pre-pass inner loop.
-  std::uint64_t (*dist_sq_i8)(const std::int8_t* a, const std::int8_t* b, std::size_t n);
-
-  /// Masked variant: entries with usable[j] == 0 contribute nothing.
-  std::uint64_t (*dist_sq_i8_masked)(const std::int8_t* a, const std::int8_t* b,
-                                     const std::uint8_t* usable, std::size_t n);
+  /// The quantized fingerprint pre-pass over cells [j0, j1): for each
+  /// cell j, keys[j] = (d_j << index_bits) | j, where d_j is the exact
+  /// sum over links i of (query[i] - cell_j[i])^2, skipping links with
+  /// usable[i] == 0.  The caller guarantees that j fits index_bits and
+  /// that the shifted distance fits 64 bits (QuantizedTier checks both).
+  void (*int8_prepass)(const Int8Prepass& pass, std::size_t j0, std::size_t j1,
+                       std::uint64_t* keys);
 };
 
 /// True when this CPU can run the AVX2 table (always false on non-x86

@@ -29,28 +29,22 @@ void hadamard_scalar(const double* a, const double* b, double* out, std::size_t 
   for (std::size_t j = 0; j < n; ++j) out[j] = a[j] * b[j];
 }
 
-std::uint64_t dist_sq_i8_scalar(const std::int8_t* a, const std::int8_t* b, std::size_t n) {
-  std::uint64_t total = 0;
-  for (std::size_t j = 0; j < n; ++j) {
-    const std::int32_t d = static_cast<std::int32_t>(a[j]) - static_cast<std::int32_t>(b[j]);
-    total += static_cast<std::uint64_t>(d * d);
+void int8_prepass_scalar(const Int8Prepass& pass, std::size_t j0, std::size_t j1,
+                         std::uint64_t* keys) {
+  for (std::size_t j = j0; j < j1; ++j) {
+    const std::int8_t* cell = pass.cells + j * pass.padded;
+    std::uint64_t total = 0;
+    for (std::size_t i = 0; i < pass.padded; ++i) {
+      if (pass.usable != nullptr && pass.usable[i] == 0) continue;
+      const std::int32_t d = static_cast<std::int32_t>(pass.query[i]) - cell[i];
+      total += static_cast<std::uint64_t>(d * d);
+    }
+    keys[j] = (total << pass.index_bits) | j;
   }
-  return total;
-}
-
-std::uint64_t dist_sq_i8_masked_scalar(const std::int8_t* a, const std::int8_t* b,
-                                       const std::uint8_t* usable, std::size_t n) {
-  std::uint64_t total = 0;
-  for (std::size_t j = 0; j < n; ++j) {
-    if (usable[j] == 0) continue;
-    const std::int32_t d = static_cast<std::int32_t>(a[j]) - static_cast<std::int32_t>(b[j]);
-    total += static_cast<std::uint64_t>(d * d);
-  }
-  return total;
 }
 
 constexpr KernelOps kScalarOps{KernelBackend::kScalar, "scalar", axpy_scalar, hadamard_scalar,
-                               dist_sq_i8_scalar, dist_sq_i8_masked_scalar};
+                               int8_prepass_scalar};
 
 const KernelOps* avx2_table() { return detail_avx2_kernel_table(); }
 

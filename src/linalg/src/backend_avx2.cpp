@@ -10,8 +10,8 @@
 // the add, and a fused contraction would round once -- bit-identity
 // with the scalar backend is the whole contract.  (The CPU may well
 // have FMA; we detect it for telemetry honesty but deliberately never
-// emit it in these kernels.)  The int8 kernels are exact integer
-// arithmetic, so vectorizing them is unconditionally safe.
+// emit it in these kernels.)  The int8 pre-pass is exact integer
+// arithmetic, so vectorizing it is unconditionally safe.
 
 #include "tafloc/linalg/backend.h"
 
@@ -50,10 +50,29 @@ __attribute__((target("avx2"))) void hadamard_avx2(const double* a, const double
   for (; j < n; ++j) out[j] = a[j] * b[j];
 }
 
-/// Elements per int32-lane accumulation block: each _mm256_madd_epi16
-/// adds at most 2 * 254^2 per lane per step, so a block of 2^14
-/// elements stays below 2^31 per lane with a wide margin.
+/// Link bytes per int32 accumulation chunk.  A 32-byte step adds at
+/// most 4 * 254^2 to each of a cell's 8 int32 lanes, and a whole 2^14
+/// byte chunk sums to at most 2^14 * 254^2 < 2^31 -- so neither the
+/// lanes nor their horizontal total can overflow before the chunk is
+/// widened into the 64-bit total.
 constexpr std::size_t kI8Chunk = std::size_t{1} << 14;
+
+/// Squared differences of one 32-byte step, as 8 int32 lane sums.
+/// |a - b| <= 254 is formed in unsigned bytes as max - min, then
+/// squared and pair-summed in 16-bit lanes by madd.
+template <bool kMasked>
+__attribute__((target("avx2"))) inline __m256i sq_diff_step(__m256i query, const std::int8_t* cell,
+                                                            const std::uint8_t* usable) {
+  const __m256i c = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(cell));
+  __m256i d = _mm256_sub_epi8(_mm256_max_epi8(query, c), _mm256_min_epi8(query, c));
+  if constexpr (kMasked) {
+    const __m256i u = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(usable));
+    d = _mm256_andnot_si256(_mm256_cmpeq_epi8(u, _mm256_setzero_si256()), d);
+  }
+  const __m256i lo = _mm256_unpacklo_epi8(d, _mm256_setzero_si256());
+  const __m256i hi = _mm256_unpackhi_epi8(d, _mm256_setzero_si256());
+  return _mm256_add_epi32(_mm256_madd_epi16(lo, lo), _mm256_madd_epi16(hi, hi));
+}
 
 __attribute__((target("avx2"))) inline std::uint64_t hsum_epi32(__m256i v) {
   const __m128i lo = _mm256_castsi256_si128(v);
@@ -64,64 +83,70 @@ __attribute__((target("avx2"))) inline std::uint64_t hsum_epi32(__m256i v) {
   return static_cast<std::uint64_t>(static_cast<std::uint32_t>(_mm_cvtsi128_si32(s)));
 }
 
-__attribute__((target("avx2"))) std::uint64_t dist_sq_i8_avx2(const std::int8_t* a,
-                                                              const std::int8_t* b,
-                                                              std::size_t n) {
-  std::uint64_t total = 0;
-  std::size_t j = 0;
-  while (j < n) {
-    const std::size_t chunk_end = std::min(n, j + kI8Chunk);
-    __m256i acc = _mm256_setzero_si256();
-    for (; j + 16 <= chunk_end; j += 16) {
-      const __m256i va =
-          _mm256_cvtepi8_epi16(_mm_loadu_si128(reinterpret_cast<const __m128i*>(a + j)));
-      const __m256i vb =
-          _mm256_cvtepi8_epi16(_mm_loadu_si128(reinterpret_cast<const __m128i*>(b + j)));
-      const __m256i d = _mm256_sub_epi16(va, vb);  // |d| <= 254 fits int16
-      acc = _mm256_add_epi32(acc, _mm256_madd_epi16(d, d));
-    }
-    total += hsum_epi32(acc);
-    for (; j < chunk_end; ++j) {
-      const std::int32_t d = static_cast<std::int32_t>(a[j]) - static_cast<std::int32_t>(b[j]);
-      total += static_cast<std::uint64_t>(d * d);
-    }
-  }
-  return total;
+/// Four cells' lane sums reduced to four 64-bit totals in two rounds of
+/// horizontal adds: lane c of the result belongs to cell c.
+__attribute__((target("avx2"))) inline __m256i hsum4_epi32(__m256i a, __m256i b, __m256i c,
+                                                           __m256i d) {
+  const __m256i s = _mm256_hadd_epi32(_mm256_hadd_epi32(a, b), _mm256_hadd_epi32(c, d));
+  const __m128i sum = _mm_add_epi32(_mm256_castsi256_si128(s), _mm256_extracti128_si256(s, 1));
+  return _mm256_cvtepu32_epi64(sum);
 }
 
-__attribute__((target("avx2"))) std::uint64_t dist_sq_i8_masked_avx2(const std::int8_t* a,
-                                                                     const std::int8_t* b,
-                                                                     const std::uint8_t* usable,
-                                                                     std::size_t n) {
-  std::uint64_t total = 0;
-  std::size_t j = 0;
-  while (j < n) {
-    const std::size_t chunk_end = std::min(n, j + kI8Chunk);
-    __m256i acc = _mm256_setzero_si256();
-    for (; j + 16 <= chunk_end; j += 16) {
-      const __m256i va =
-          _mm256_cvtepi8_epi16(_mm_loadu_si128(reinterpret_cast<const __m128i*>(a + j)));
-      const __m256i vb =
-          _mm256_cvtepi8_epi16(_mm_loadu_si128(reinterpret_cast<const __m128i*>(b + j)));
-      const __m256i mask16 =
-          _mm256_cvtepi8_epi16(_mm_loadu_si128(reinterpret_cast<const __m128i*>(usable + j)));
-      // 0xFFFF where the link is dead (mask byte 0); zero those diffs.
-      const __m256i dead = _mm256_cmpeq_epi16(mask16, _mm256_setzero_si256());
-      const __m256i d = _mm256_andnot_si256(dead, _mm256_sub_epi16(va, vb));
-      acc = _mm256_add_epi32(acc, _mm256_madd_epi16(d, d));
+template <bool kMasked>
+__attribute__((target("avx2"))) void int8_prepass_avx2_impl(const Int8Prepass& pass,
+                                                            std::size_t j0, std::size_t j1,
+                                                            std::uint64_t* keys) {
+  const std::size_t padded = pass.padded;
+  const __m128i shift = _mm_cvtsi32_si128(static_cast<int>(pass.index_bits));
+  std::size_t j = j0;
+  for (; j + 4 <= j1; j += 4) {
+    const std::int8_t* cell = pass.cells + j * padded;
+    __m256i total = _mm256_setzero_si256();
+    for (std::size_t i0 = 0; i0 < padded; i0 += kI8Chunk) {
+      const std::size_t i1 = std::min(padded, i0 + kI8Chunk);
+      __m256i a0 = _mm256_setzero_si256(), a1 = a0, a2 = a0, a3 = a0;
+      for (std::size_t i = i0; i < i1; i += 32) {
+        const __m256i q = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pass.query + i));
+        const std::uint8_t* u = kMasked ? pass.usable + i : nullptr;
+        a0 = _mm256_add_epi32(a0, sq_diff_step<kMasked>(q, cell + i, u));
+        a1 = _mm256_add_epi32(a1, sq_diff_step<kMasked>(q, cell + padded + i, u));
+        a2 = _mm256_add_epi32(a2, sq_diff_step<kMasked>(q, cell + 2 * padded + i, u));
+        a3 = _mm256_add_epi32(a3, sq_diff_step<kMasked>(q, cell + 3 * padded + i, u));
+      }
+      total = _mm256_add_epi64(total, hsum4_epi32(a0, a1, a2, a3));
     }
-    total += hsum_epi32(acc);
-    for (; j < chunk_end; ++j) {
-      if (usable[j] == 0) continue;
-      const std::int32_t d = static_cast<std::int32_t>(a[j]) - static_cast<std::int32_t>(b[j]);
-      total += static_cast<std::uint64_t>(d * d);
-    }
+    const __m256i index = _mm256_add_epi64(_mm256_set1_epi64x(static_cast<long long>(j)),
+                                           _mm256_setr_epi64x(0, 1, 2, 3));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(keys + j),
+                        _mm256_or_si256(_mm256_sll_epi64(total, shift), index));
   }
-  return total;
+  for (; j < j1; ++j) {  // the last (j1 - j0) mod 4 cells, one at a time
+    const std::int8_t* cell = pass.cells + j * padded;
+    std::uint64_t total = 0;
+    for (std::size_t i0 = 0; i0 < padded; i0 += kI8Chunk) {
+      const std::size_t i1 = std::min(padded, i0 + kI8Chunk);
+      __m256i acc = _mm256_setzero_si256();
+      for (std::size_t i = i0; i < i1; i += 32) {
+        const __m256i q = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pass.query + i));
+        acc = _mm256_add_epi32(
+            acc, sq_diff_step<kMasked>(q, cell + i, kMasked ? pass.usable + i : nullptr));
+      }
+      total += hsum_epi32(acc);
+    }
+    keys[j] = (total << pass.index_bits) | j;
+  }
+}
+
+__attribute__((target("avx2"))) void int8_prepass_avx2(const Int8Prepass& pass, std::size_t j0,
+                                                       std::size_t j1, std::uint64_t* keys) {
+  if (pass.usable == nullptr)
+    int8_prepass_avx2_impl<false>(pass, j0, j1, keys);
+  else
+    int8_prepass_avx2_impl<true>(pass, j0, j1, keys);
 }
 
 constexpr KernelOps kAvx2Ops{KernelBackend::kAvx2, "avx2", axpy_avx2, hadamard_avx2,
-                             dist_sq_i8_avx2, dist_sq_i8_masked_avx2};
+                             int8_prepass_avx2};
 
 }  // namespace
 

@@ -26,7 +26,7 @@
 // Two-tier scan: KnnMatcher can additionally attach a QuantizedTier
 // (attach_quantized_tier).  Queries then rank every grid with an int8
 // integer distance first and re-rank only a widened candidate prefix
-// with the exact float kernel; the quantization error bound drives the
+// with the exact float distance; the quantization error bound drives the
 // widening, so the served top-k (indices, distances, weights) is
 // provably bit-identical to the full float scan -- the tier changes
 // speed, never results.  See quantized.h and the proof sketch in
@@ -143,7 +143,7 @@ class KnnMatcher : public Localizer {
 
   /// Use `tier` (not owned; must outlive the matcher) as the scan's
   /// first pass: an int8 integer distance ranks every grid, then the k
-  /// nearest are re-ranked with the exact float kernel over a widened
+  /// nearest are re-ranked with the exact float distance over a widened
   /// candidate set.  The widening is driven by the tier's quantization
   /// error bound, so the returned top-k -- indices AND distances, hence
   /// the inverse-distance weights -- is PROVABLY identical to the full
@@ -169,6 +169,12 @@ class KnnMatcher : public Localizer {
   /// on it (the widening proof does not either), only the speed does.
   void set_rerank_multiplier(std::size_t alpha);
 
+  /// One ranked grid: its exact squared distance (mask-scaled) and index.
+  struct Neighbor {
+    double dist;
+    std::size_t index;
+  };
+
   /// Indices of the k best-matching grids, best first (for tests).
   std::vector<std::size_t> nearest_grids(std::span<const double> rss) const;
 
@@ -186,10 +192,10 @@ class KnnMatcher : public Localizer {
   void attach_telemetry(MetricRegistry* registry);
 
  private:
-  /// Column scan + partial sort into the thread-local scratch; returns
-  /// the k best indices (a span into that scratch, valid until the next
-  /// call on this thread).
-  std::span<const std::size_t> nearest_in_scratch(std::span<const double> rss) const;
+  /// Scan + partial sort into the thread-local scratch; returns the k
+  /// best grids, best first (a span into that scratch, valid until the
+  /// next call on this thread).
+  std::span<const Neighbor> nearest_in_scratch(std::span<const double> rss) const;
 
   FingerprintRef fingerprints_;
   GridMap grid_;

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <numeric>
+#include <limits>
 
 #include "tafloc/exec/thread_pool.h"
 #include "tafloc/linalg/backend.h"
@@ -22,35 +22,56 @@ void validate_shapes(ConstMatrixView fingerprints, const GridMap& grid) {
                    "fingerprint matrix must have one column per grid cell");
 }
 
-/// Squared Euclidean distance between the observation and a fingerprint
-/// column (a strided view into the matrix -- no copy).
-double column_distance_sq(ConstVectorView col, std::span<const double> rss) {
-  const double* p = col.data();
-  const std::size_t st = col.stride();
-  double s = 0.0;
-  for (std::size_t i = 0; i < col.size(); ++i) {
-    const double d = rss[i] - p[i * st];
-    s += d * d;
+/// The links a scan reads: `usable` empty means every link, else only
+/// links with usable[i] != 0 count and the partial sum is rescaled by
+/// `scale` = total / usable, so distances stay on the same scale as a
+/// full scan (the inverse-distance weights and the spatial gate then
+/// behave consistently as links die).
+struct ScanMask {
+  std::span<const std::uint8_t> usable;
+  double scale = 1.0;
+};
+
+/// The one exact-distance routine: the squared Euclidean distance from
+/// the observation to fingerprint column col_of(c), for c in [0, count),
+/// handed to emit(c, distance) in ascending c.
+///
+/// Row-ordered: each block of columns is swept one link row at a time
+/// (rows are contiguous in memory, columns are strided), but every
+/// column keeps its own accumulator.  Each distance is therefore still
+/// 0.0 + d_0^2 + d_1^2 + ... over ascending links i, dead links skipped,
+/// one rounding per multiply and one per add, the mask scale applied
+/// last -- the same operations in the same order as walking the column
+/// alone, so the same bits.  Vector lanes may run across columns, never
+/// within one column's sum (and there is no FMA to fuse the two
+/// roundings: the build targets baseline ISA in strict ISO mode).
+template <class ColOf, class Emit>
+void column_distances_sq(ConstMatrixView fp, std::span<const double> rss, const ScanMask& mask,
+                         std::size_t count, ColOf col_of, Emit emit) {
+  constexpr std::size_t kBlock = 128;
+  double acc[kBlock];
+  for (std::size_t c0 = 0; c0 < count; c0 += kBlock) {
+    const std::size_t width = std::min(kBlock, count - c0);
+    std::fill_n(acc, width, 0.0);
+    for (std::size_t i = 0; i < fp.rows(); ++i) {
+      if (!mask.usable.empty() && mask.usable[i] == 0) continue;
+      const double y = rss[i];
+      const double* row = fp.row_ptr(i);
+      for (std::size_t c = 0; c < width; ++c) {
+        const double d = y - row[col_of(c0 + c)];
+        acc[c] += d * d;
+      }
+    }
+    for (std::size_t c = 0; c < width; ++c)
+      emit(c0 + c, mask.usable.empty() ? acc[c] : acc[c] * mask.scale);
   }
-  return s;
 }
 
-/// Masked variant: only usable links contribute, and the partial sum is
-/// rescaled by `scale` = total / usable so distances stay on the same
-/// scale as a full scan (the inverse-distance weights and the spatial
-/// gate then behave consistently as links die).
-double column_distance_sq_masked(ConstVectorView col, std::span<const double> rss,
-                                 std::span<const std::uint8_t> usable, double scale) {
-  const double* p = col.data();
-  const std::size_t st = col.stride();
-  double s = 0.0;
-  for (std::size_t i = 0; i < col.size(); ++i) {
-    if (usable[i] == 0) continue;
-    const double d = rss[i] - p[i * st];
-    s += d * d;
-  }
-  return s * scale;
-}
+/// Column index functor for a contiguous range of columns.
+struct ColumnRange {
+  std::size_t first;
+  std::size_t operator()(std::size_t c) const noexcept { return first + c; }
+};
 
 /// Resolve the mask for one query: nullptr when the scan can take the
 /// exact unmasked code path (no health attached, or every link usable),
@@ -63,6 +84,13 @@ const LinkHealth* active_mask(const LinkHealth* health, ConstMatrixView fp) {
   return health;
 }
 
+/// The ScanMask of a resolved mask (nullptr: every link, no rescale).
+ScanMask scan_mask(const LinkHealth* mask, std::size_t links) {
+  if (mask == nullptr) return {};
+  return {mask->usable_bytes(),
+          static_cast<double>(links) / static_cast<double>(mask->usable_count())};
+}
+
 /// Finite check restricted to usable links: a NaN parked on a dead link
 /// is exactly the fault the mask exists for, not a contract violation.
 bool usable_entries_finite(std::span<const double> rss, std::span<const std::uint8_t> usable) {
@@ -71,25 +99,50 @@ bool usable_entries_finite(std::span<const double> rss, std::span<const std::uin
   return true;
 }
 
-/// Per-thread KNN scratch: the distance and candidate-order buffers of
-/// the column scan, plus the quantized pre-pass buffers (query levels,
-/// padded mask, per-link residuals, integer distances and their order).
-/// thread_local so concurrent localize_batch lanes never contend; grows
-/// monotonically, so queries after the first on a thread allocate
-/// nothing.
+/// The observation contract of the NN and KNN scans under a resolved mask.
+void check_observation(std::span<const double> rss, const LinkHealth* mask) {
+  if (mask == nullptr) {
+    TAFLOC_CHECK_ARG(all_finite(rss), "observation contains non-finite values");
+  } else {
+    TAFLOC_CHECK_ARG(usable_entries_finite(rss, mask->usable_bytes()),
+                     "observation contains non-finite values on usable links");
+  }
+}
+
+using Neighbor = KnnMatcher::Neighbor;
+
+/// Per-thread KNN scratch: the ranked grids (every grid on the float
+/// scan, the re-ranked candidates on the two-tier scan) plus the
+/// quantized pre-pass buffers (query levels, padded mask, per-link
+/// residuals, packed keys).  thread_local so concurrent localize_batch
+/// lanes never contend; grows monotonically, so queries after the first
+/// on a thread allocate nothing.
 struct KnnScratch {
-  std::vector<double> dist;
-  std::vector<std::size_t> order;
+  std::vector<Neighbor> ranked;
   std::vector<std::int8_t> qvalues;
   std::vector<std::uint8_t> qmask;
   std::vector<double> qresidual;
-  std::vector<std::uint64_t> qdist;
-  std::vector<std::size_t> qorder;
+  std::vector<std::uint64_t> keys;
 };
 
 KnnScratch& knn_scratch() {
   thread_local KnnScratch s;
   return s;
+}
+
+/// Reserve room for `size` elements; true when that allocated.
+template <class T>
+bool reserve_scratch(std::vector<T>& v, std::size_t size) {
+  if (v.capacity() >= size) return false;
+  v.reserve(size);
+  return true;
+}
+
+/// The (distance, index) order of both scans: index breaks exact ties,
+/// since duplicate fingerprint columns produce exactly equal distances
+/// and std::partial_sort is not stable.
+bool closer(const Neighbor& a, const Neighbor& b) {
+  return a.dist != b.dist ? a.dist < b.dist : a.index < b.index;
 }
 
 /// Process-wide scratch-allocation count.  A telemetry Counter rather
@@ -100,6 +153,11 @@ Counter& knn_scratch_allocation_counter() {
   static Counter counter;
   return counter;
 }
+
+/// Largest candidate block selected with a heap (see quantized_scan):
+/// at 1 600 cells partial_sort takes 3.8 us for 12 keys and 12.5 us
+/// for 48, nth_element 10-11 us for either.
+constexpr std::size_t kHeapSelectMax = 32;
 
 /// Two-tier scan: int8 integer pre-pass over every grid, exact float
 /// re-rank over a provably sufficient candidate prefix.
@@ -119,107 +177,117 @@ Counter& knn_scratch_allocation_counter() {
 ///   * If the k-th best EXACT distance inside the prefix is strictly
 ///     below that floor, no excluded column can enter the top-k: the
 ///     exact re-rank of the prefix IS the full scan's top-k.  Exact
-///     distances come from the very same column_distance_sq kernels and
-///     the sort uses the same (distance, index) tie rule, so indices,
-///     distances, and therefore downstream weights are bit-identical.
+///     distances come from the very same column_distances_sq routine as
+///     the float scan, and the sort uses the same (distance, index) tie
+///     rule, so indices, distances, and therefore downstream weights
+///     are bit-identical.
 ///   * Otherwise the prefix doubles and the test repeats; at m == n the
 ///     "prefix" is the whole grid set and re-ranking it is literally
 ///     the exact scan, so termination is unconditional.  E is inflated
 ///     by one ulp-scale epsilon before use so float rounding in the
 ///     bookkeeping (never in the served distances) can only widen.
 ///
-/// Fills s.order[0..k) with the winners and s.dist[j] with their exact
-/// distances (other s.dist entries are stale).  Caller has resized
-/// s.dist/s.order to n and validated shapes, finiteness, and the tier.
-void quantized_scan(ConstMatrixView fp, std::span<const double> rss, const LinkHealth* mask,
-                    const QuantizedTier& tier, std::size_t k, std::size_t alpha, KnnScratch& s,
-                    Counter* widen_counter) {
+/// How each step stays cheap without changing any of the above:
+///   * Keys.  The pre-pass writes key_j = (qdist_j << b) | j, b =
+///     tier.key_index_bits(), so plain integer order on keys IS the
+///     (qdist, index) order; selection needs no indirection.
+///   * Incremental widening.  keys[0, m) holds the prefix, its largest
+///     key (T) at m - 1.  Widening to m' selects only keys[m, m') from
+///     the unranked remainder (the m' smallest overall are the m already
+///     ranked plus the m' - m smallest of the rest), computes exact
+///     distances only for those, and merges them with the k best so far
+///     -- a column outside the old top-k lost to k better ones and can
+///     never re-enter it.  So every round sees the same prefix set, the
+///     same T and the same k-th distance as a from-scratch round, and
+///     widens exactly as often.
+///
+/// Returns the k winners, best first, in s.ranked[0, k).  Caller has
+/// reserved the scratch and validated shapes, finiteness, and the tier.
+std::span<const Neighbor> quantized_scan(ConstMatrixView fp, std::span<const double> rss,
+                                         const ScanMask& mask, const QuantizedTier& tier,
+                                         std::size_t k, std::size_t alpha, KnnScratch& s,
+                                         Counter* widen_counter) {
   const std::size_t n = fp.cols();
-  const std::size_t rows = fp.rows();
   const std::size_t padded = tier.padded_links();
 
-  std::span<const std::uint8_t> usable{};
-  double mask_scale = 1.0;
   const std::uint8_t* mask_bytes = nullptr;
-  if (mask != nullptr) {
-    usable = mask->usable_bytes();
-    mask_scale = static_cast<double>(rows) / static_cast<double>(mask->usable_count());
-    // Padded copy of the mask: pad bytes 0, so the masked integer
-    // kernel ignores the padding just like it ignores dead links.
+  if (!mask.usable.empty()) {
+    // Padded copy of the mask: pad bytes 0, so the masked pre-pass
+    // ignores the padding just like it ignores dead links.
     s.qmask.assign(padded, 0);
-    std::copy(usable.begin(), usable.end(), s.qmask.begin());
+    std::copy(mask.usable.begin(), mask.usable.end(), s.qmask.begin());
     mask_bytes = s.qmask.data();
   }
-  tier.quantize_observation(rss, usable, s.qvalues, s.qresidual);
+  tier.quantize_observation(rss, mask.usable, s.qvalues, s.qresidual);
 
   const double scale = tier.scale();
   double err_sq = 0.0;
-  for (std::size_t i = 0; i < rows; ++i) {
-    if (mask != nullptr && usable[i] == 0) continue;
+  for (std::size_t i = 0; i < fp.rows(); ++i) {
+    if (!mask.usable.empty() && mask.usable[i] == 0) continue;
     const double e = s.qresidual[i] + 0.5 * scale;
     err_sq += e * e;
   }
   const double err = std::sqrt(err_sq) * (1.0 + 1e-9) + 1e-9;
-  const double root_scale = std::sqrt(mask_scale);
+  const double root_scale = std::sqrt(mask.scale);
 
-  // Integer pre-pass over every grid.  Each distance is an independent
-  // exact integer, so the parallel split cannot perturb anything.
-  s.qdist.resize(n);
-  s.qorder.resize(n);
+  // Integer pre-pass over every grid, one kernel call per cell range.
+  // Each key is an independent exact integer, so the parallel split
+  // cannot perturb anything.
+  s.keys.resize(n);
+  std::uint64_t* keys = s.keys.data();
   {
     TraceStage prepass_stage("loc.prepass");
     const KernelOps& ops = kernel_ops();
-    const std::int8_t* query = s.qvalues.data();
+    const Int8Prepass pass{s.qvalues.data(), mask_bytes, tier.cell_data(0), padded,
+                           tier.key_index_bits()};
     const std::size_t grain =
         std::max<std::size_t>(1, (std::size_t{1} << 15) / std::max<std::size_t>(padded, 1));
     ThreadPool::global().parallel_for(0, n, grain, [&](std::size_t j0, std::size_t j1) {
-      if (mask_bytes == nullptr) {
-        for (std::size_t j = j0; j < j1; ++j)
-          s.qdist[j] = ops.dist_sq_i8(query, tier.cell_data(j), padded);
-      } else {
-        for (std::size_t j = j0; j < j1; ++j)
-          s.qdist[j] = ops.dist_sq_i8_masked(query, tier.cell_data(j), mask_bytes, padded);
-      }
+      ops.int8_prepass(pass, j0, j1, keys);
     });
   }
 
   TraceStage rerank_stage("loc.rerank");
+  const unsigned index_bits = tier.key_index_bits();
+  const std::uint64_t index_mask = (std::uint64_t{1} << index_bits) - 1;
+  s.ranked.resize(n);
+  Neighbor* ranked = s.ranked.data();
   std::size_t m = std::min(n, std::max(k * alpha, k + 8));
+  std::size_t done = 0;  // keys[0, done): selected and re-ranked
+  std::size_t kept = 0;  // ranked[0, kept): the best re-ranked so far
   while (true) {
-    // Rank the integer distances with the same (value, index) tie rule
-    // as the exact sort, take the m best as candidates.
-    std::iota(s.qorder.begin(), s.qorder.end(), 0);
-    std::partial_sort(s.qorder.begin(), s.qorder.begin() + static_cast<std::ptrdiff_t>(m),
-                      s.qorder.end(), [&](std::size_t a, std::size_t b) {
-                        return s.qdist[a] != s.qdist[b] ? s.qdist[a] < s.qdist[b] : a < b;
-                      });
-    // Exact re-rank: the same column kernels as the float scan, so the
-    // surviving distances (and the weights derived from them) match a
-    // full scan bit for bit.
-    ThreadPool::global().parallel_for(0, m, 64, [&](std::size_t c0, std::size_t c1) {
-      for (std::size_t c = c0; c < c1; ++c) {
-        const std::size_t j = s.qorder[c];
-        s.dist[j] = mask == nullptr
-                        ? column_distance_sq(fp.col_view(j), rss)
-                        : column_distance_sq_masked(fp.col_view(j), rss, usable, mask_scale);
-      }
+    // keys[done, m) <- the m - done smallest unranked keys, their
+    // largest last (T of the exclusion bound); their order among
+    // themselves is irrelevant, the exact re-rank orders them.  A heap
+    // selection (partial_sort) beats nth_element's partitioning passes
+    // only while the block is small.
+    if (m - done <= kHeapSelectMax)
+      std::partial_sort(keys + done, keys + m, keys + n);
+    else if (m < n)
+      std::nth_element(keys + done, keys + m - 1, keys + n);
+    // Exact distances of the new candidates only, appended after the
+    // kept winners; then the k best of both.
+    const auto grid_of = [&, fresh = keys + done](std::size_t c) {
+      return static_cast<std::size_t>(fresh[c] & index_mask);
+    };
+    Neighbor* out = ranked + kept;
+    ThreadPool::global().parallel_for(0, m - done, 64, [&](std::size_t c0, std::size_t c1) {
+      column_distances_sq(
+          fp, rss, mask, c1 - c0, [&](std::size_t c) { return grid_of(c0 + c); },
+          [&](std::size_t c, double d) { out[c0 + c] = {d, grid_of(c0 + c)}; });
     });
-    std::partial_sort(s.qorder.begin(), s.qorder.begin() + static_cast<std::ptrdiff_t>(k),
-                      s.qorder.begin() + static_cast<std::ptrdiff_t>(m),
-                      [&](std::size_t a, std::size_t b) {
-                        return s.dist[a] != s.dist[b] ? s.dist[a] < s.dist[b] : a < b;
-                      });
+    std::partial_sort(ranked, ranked + k, out + (m - done), closer);
+    kept = k;
+    done = m;
     if (m == n) break;  // re-ranked everything: this IS the exact scan
-    const double threshold_root =
-        scale * std::sqrt(static_cast<double>(s.qdist[s.qorder[m - 1]]));
+    const double threshold_root = scale * std::sqrt(static_cast<double>(keys[m - 1] >> index_bits));
     const double excluded_floor = root_scale * (threshold_root - err);
-    const double kth_root = std::sqrt(s.dist[s.qorder[k - 1]]);
+    const double kth_root = std::sqrt(ranked[k - 1].dist);
     if (kth_root < excluded_floor) break;  // proof holds; equality widens
     if (widen_counter != nullptr) widen_counter->add();
     m = std::min(n, m * 2);
   }
-  std::copy(s.qorder.begin(), s.qorder.begin() + static_cast<std::ptrdiff_t>(k),
-            s.order.begin());
+  return {ranked, k};
 }
 
 }  // namespace
@@ -240,33 +308,16 @@ std::size_t NnMatcher::nearest_grid(std::span<const double> rss) const {
   const ConstMatrixView fp = fingerprints_.view();
   TAFLOC_CHECK_ARG(rss.size() == fp.rows(), "observation length mismatch");
   const LinkHealth* mask = active_mask(health_, fp);
-  if (mask == nullptr) {
-    TAFLOC_CHECK_ARG(all_finite(rss), "observation contains non-finite values");
-    std::size_t best = 0;
-    double best_d = column_distance_sq(fp.col_view(0), rss);
-    for (std::size_t j = 1; j < fp.cols(); ++j) {
-      const double d = column_distance_sq(fp.col_view(j), rss);
-      if (d < best_d) {
-        best_d = d;
-        best = j;
-      }
-    }
-    return best;
-  }
-  const std::span<const std::uint8_t> usable = mask->usable_bytes();
-  TAFLOC_CHECK_ARG(usable_entries_finite(rss, usable),
-                   "observation contains non-finite values on usable links");
-  const double scale =
-      static_cast<double>(fp.rows()) / static_cast<double>(mask->usable_count());
+  check_observation(rss, mask);
   std::size_t best = 0;
-  double best_d = column_distance_sq_masked(fp.col_view(0), rss, usable, scale);
-  for (std::size_t j = 1; j < fp.cols(); ++j) {
-    const double d = column_distance_sq_masked(fp.col_view(j), rss, usable, scale);
-    if (d < best_d) {
-      best_d = d;
-      best = j;
-    }
-  }
+  double best_d = 0.0;
+  column_distances_sq(fp, rss, scan_mask(mask, fp.rows()), fp.cols(), ColumnRange{0},
+                      [&](std::size_t j, double d) {
+                        if (j == 0 || d < best_d) {
+                          best_d = d;
+                          best = j;
+                        }
+                      });
   return best;
 }
 
@@ -326,16 +377,12 @@ void KnnMatcher::set_rerank_multiplier(std::size_t alpha) {
   rerank_alpha_ = alpha;
 }
 
-std::span<const std::size_t> KnnMatcher::nearest_in_scratch(std::span<const double> rss) const {
+std::span<const Neighbor> KnnMatcher::nearest_in_scratch(std::span<const double> rss) const {
   const ConstMatrixView fp = fingerprints_.view();
   TAFLOC_CHECK_ARG(rss.size() == fp.rows(), "observation length mismatch");
   const LinkHealth* mask = active_mask(health_, fp);
-  if (mask == nullptr) {
-    TAFLOC_CHECK_ARG(all_finite(rss), "observation contains non-finite values");
-  } else {
-    TAFLOC_CHECK_ARG(usable_entries_finite(rss, mask->usable_bytes()),
-                     "observation contains non-finite values on usable links");
-  }
+  check_observation(rss, mask);
+  const ScanMask scan = scan_mask(mask, fp.rows());
   const std::size_t n = fp.cols();
   KnnScratch& s = knn_scratch();
   // The quantized tier is consulted per query: a tier that vanished
@@ -346,55 +393,45 @@ std::span<const std::size_t> KnnMatcher::nearest_in_scratch(std::span<const doub
   if (tier != nullptr &&
       (!tier->ready() || tier->num_links() != fp.rows() || tier->num_grids() != n))
     tier = nullptr;
-  const bool scratch_grown =
-      s.dist.capacity() < n || s.order.capacity() < n ||
-      (tier != nullptr &&
-       (s.qvalues.capacity() < tier->padded_links() || s.qmask.capacity() < tier->padded_links() ||
-        s.qresidual.capacity() < fp.rows() || s.qdist.capacity() < n || s.qorder.capacity() < n));
-  if (scratch_grown) {
+  // Count only real growth.  The two-tier path reserves all of its
+  // buffers on first use -- keys and candidates for a widening to every
+  // grid, the padded mask even on an unmasked query -- so no later
+  // query on this thread, masked or widened, allocates.
+  bool grown = reserve_scratch(s.ranked, n);
+  if (tier != nullptr) {
+    grown |= reserve_scratch(s.keys, n);
+    grown |= reserve_scratch(s.qvalues, tier->padded_links());
+    grown |= reserve_scratch(s.qmask, tier->padded_links());
+    grown |= reserve_scratch(s.qresidual, fp.rows());
+  }
+  if (grown) {
     knn_scratch_allocation_counter().add();
     if (scratch_alloc_counter_ != nullptr) scratch_alloc_counter_->add();
   }
-  s.dist.resize(n);
-  s.order.resize(n);
   if (tier != nullptr) {
     if (prepass_counter_ != nullptr) prepass_counter_->add();
-    quantized_scan(fp, rss, mask, *tier, k_, rerank_alpha_, s, widen_counter_);
-    return {s.order.data(), k_};
+    return quantized_scan(fp, rss, scan, *tier, k_, rerank_alpha_, s, widen_counter_);
   }
   TraceStage scan_stage("loc.scan");
-  std::vector<double>& dist = s.dist;
+  s.ranked.resize(n);
+  Neighbor* ranked = s.ranked.data();
   // Each distance is an independent scalar: the scan parallelizes over
   // columns without changing any accumulation order.
   const std::size_t grain =
       std::max<std::size_t>(1, (std::size_t{1} << 14) / std::max<std::size_t>(fp.rows(), 1));
-  if (mask == nullptr) {
-    ThreadPool::global().parallel_for(0, n, grain, [&](std::size_t j0, std::size_t j1) {
-      for (std::size_t j = j0; j < j1; ++j) dist[j] = column_distance_sq(fp.col_view(j), rss);
-    });
-  } else {
-    const std::span<const std::uint8_t> usable = mask->usable_bytes();
-    const double scale =
-        static_cast<double>(fp.rows()) / static_cast<double>(mask->usable_count());
-    ThreadPool::global().parallel_for(0, n, grain, [&](std::size_t j0, std::size_t j1) {
-      for (std::size_t j = j0; j < j1; ++j)
-        dist[j] = column_distance_sq_masked(fp.col_view(j), rss, usable, scale);
-    });
-  }
-  std::iota(s.order.begin(), s.order.end(), 0);
-  // Index tie-break: duplicate fingerprint columns produce exactly equal
-  // distances, and std::partial_sort is not stable -- without the tie
-  // rule the winning neighbour set would be implementation-defined.
-  std::partial_sort(s.order.begin(), s.order.begin() + static_cast<std::ptrdiff_t>(k_),
-                    s.order.end(), [&](std::size_t a, std::size_t b) {
-                      return dist[a] != dist[b] ? dist[a] < dist[b] : a < b;
-                    });
-  return {s.order.data(), k_};
+  ThreadPool::global().parallel_for(0, n, grain, [&](std::size_t j0, std::size_t j1) {
+    column_distances_sq(fp, rss, scan, j1 - j0, ColumnRange{j0},
+                        [&](std::size_t c, double d) { ranked[j0 + c] = {d, j0 + c}; });
+  });
+  std::partial_sort(ranked, ranked + k_, ranked + n, closer);
+  return {ranked, k_};
 }
 
 std::vector<std::size_t> KnnMatcher::nearest_grids(std::span<const double> rss) const {
-  const std::span<const std::size_t> nearest = nearest_in_scratch(rss);
-  return {nearest.begin(), nearest.end()};
+  const std::span<const Neighbor> nearest = nearest_in_scratch(rss);
+  std::vector<std::size_t> indices(nearest.size());
+  for (std::size_t c = 0; c < nearest.size(); ++c) indices[c] = nearest[c].index;
+  return indices;
 }
 
 Point2 KnnMatcher::localize(std::span<const double> rss) const {
@@ -406,13 +443,12 @@ Point2 KnnMatcher::localize(std::span<const double> rss, MatchStats* stats) cons
   // attached is two clock reads plus relaxed atomics, no registry
   // lookup; while detached, a single null test.
   const std::uint64_t t0 = telemetry_ != nullptr ? telemetry_->now_ns() : 0;
-  const std::span<const std::size_t> nearest = nearest_in_scratch(rss);
-  const std::vector<double>& dist = knn_scratch().dist;
-  const Point2 anchor = grid_.center(nearest.front());
+  const std::span<const Neighbor> nearest = nearest_in_scratch(rss);
+  const Point2 anchor = grid_.center(nearest.front().index);
   double wx = 0.0, wy = 0.0, wsum = 0.0;
   std::size_t gated = 0;
-  for (std::size_t j : nearest) {
-    const Point2 c = grid_.center(j);
+  for (const Neighbor& nb : nearest) {
+    const Point2 c = grid_.center(nb.index);
     // Gate out fingerprint collisions: neighbours in signal space that
     // are far from the best match in physical space.
     if (spatial_gate_m_ > 0.0 && distance(c, anchor) > spatial_gate_m_) {
@@ -423,7 +459,7 @@ Point2 KnnMatcher::localize(std::span<const double> rss, MatchStats* stats) cons
     if (weighted_) {
       // Reuse the scan's stored distance: sqrt of the same double is
       // bit-identical to recomputing the column scan.
-      const double d = std::sqrt(dist[j]);
+      const double d = std::sqrt(nb.dist);
       w = 1.0 / (d + 1e-6);
     }
     wx += w * c.x;
@@ -489,10 +525,10 @@ Vector BayesMatcher::posterior(std::span<const double> rss) const {
   const double m = static_cast<double>(fp.rows());
   Vector log_lik(n);
   double max_ll = -std::numeric_limits<double>::infinity();
-  for (std::size_t j = 0; j < n; ++j) {
-    log_lik[j] = -column_distance_sq(fp.col_view(j), rss) / (2.0 * sigma_ * sigma_ * m);
+  column_distances_sq(fp, rss, {}, n, ColumnRange{0}, [&](std::size_t j, double d) {
+    log_lik[j] = -d / (2.0 * sigma_ * sigma_ * m);
     max_ll = std::max(max_ll, log_lik[j]);
-  }
+  });
   double z = 0.0;
   for (std::size_t j = 0; j < n; ++j) {
     log_lik[j] = std::exp(log_lik[j] - max_ll);  // now an unnormalized probability

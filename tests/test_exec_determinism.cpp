@@ -4,6 +4,7 @@
 // matcher -- must produce the same numbers at 1 thread and at 8.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "tafloc/exec/exec_config.h"
@@ -285,24 +286,59 @@ TEST(ExecDeterminism, KnnBitIdenticalWithTelemetryAttachedAcrossThreadCounts) {
 
 TEST(ExecDeterminism, KnnPerQueryPathIsAllocationFree) {
   // The Fig. 5 per-query loop: after one warm-up query per thread, the
-  // KNN scratch counter must stay flat no matter how many queries run.
+  // KNN scratch counter must stay flat no matter how many queries run --
+  // on the float scan, and on the two-tier scan for unmasked queries, a
+  // masked one and one whose re-rank widens to every grid.
   Scenario scenario = Scenario::paper_room(10);
   Rng rng(1001);
   const Matrix fingerprints = scenario.collector().survey_all(0.0, rng);
-  const KnnMatcher matcher(fingerprints, scenario.deployment().grid(), 3);
+  KnnMatcher matcher(fingerprints, scenario.deployment().grid(), 3);
 
   Vector rss(fingerprints.rows());
   for (double& v : rss) v = rng.normal(-50.0, 5.0);
 
   ThreadGuard guard(1);  // single lane -> one thread_local scratch
   (void)matcher.localize(rss);  // warm up the scratch
-  const std::size_t before = KnnMatcher::scratch_allocations();
+  std::size_t before = KnnMatcher::scratch_allocations();
   for (std::size_t q = 0; q < 200; ++q) {
     for (double& v : rss) v = rng.normal(-50.0, 5.0);
     (void)matcher.localize(rss);
   }
   EXPECT_EQ(KnnMatcher::scratch_allocations(), before)
       << "localize() must not grow its scratch after the first query";
+
+  QuantizedTier tier;
+  tier.rebuild(fingerprints.view());
+  matcher.attach_quantized_tier(&tier);
+  ASSERT_TRUE(matcher.quantized_active());
+  MetricRegistry registry;
+  matcher.attach_telemetry(&registry);
+  (void)matcher.localize(rss);  // warm up the two-tier buffers
+  before = KnnMatcher::scratch_allocations();
+  for (std::size_t q = 0; q < 200; ++q) {
+    for (double& v : rss) v = rng.normal(-50.0, 5.0);
+    (void)matcher.localize(rss);
+  }
+  EXPECT_EQ(KnnMatcher::scratch_allocations(), before)
+      << "unmasked two-tier queries must not count a scratch growth";
+
+  LinkHealth health(fingerprints.rows());
+  health.mark_dead(0);
+  matcher.attach_link_health(&health);
+  rss[0] = std::nan("");
+  (void)matcher.localize(rss);
+  EXPECT_EQ(KnnMatcher::scratch_allocations(), before) << "masked two-tier query";
+  matcher.attach_link_health(nullptr);
+
+  // Far above every surveyed level: the clamp residual defeats the
+  // exclusion bound, so the candidate set doubles until it is all grids.
+  const std::size_t n = fingerprints.cols();
+  std::size_t doublings = 0;
+  for (std::size_t m = std::max<std::size_t>(3 * 4, 3 + 8); m < n; m *= 2) ++doublings;
+  const std::uint64_t widenings = registry.counter("loc.knn.rerank_widenings").value();
+  (void)matcher.localize(Vector(fingerprints.rows(), -20.0));
+  EXPECT_EQ(registry.counter("loc.knn.rerank_widenings").value() - widenings, doublings);
+  EXPECT_EQ(KnnMatcher::scratch_allocations(), before) << "query widened to every grid";
 }
 
 TEST(ExecDeterminism, LocalizeBatchMatchesSequentialCalls) {

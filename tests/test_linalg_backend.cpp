@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <vector>
@@ -131,7 +133,7 @@ TEST(KernelBackend, HadamardBitIdenticalAcrossBackends) {
   }
 }
 
-// ---- exactness of the integer distance kernels ----
+// ---- exactness of the int8 pre-pass ----
 
 std::uint64_t dist_sq_i8_reference(const std::int8_t* a, const std::int8_t* b, std::size_t n) {
   std::uint64_t total = 0;
@@ -142,70 +144,115 @@ std::uint64_t dist_sq_i8_reference(const std::int8_t* a, const std::int8_t* b, s
   return total;
 }
 
+/// A query, `cells` grid-major cells of `padded` bytes, and an optional
+/// usable mask (empty: every link usable), plus the oracle's keys.
+struct PrepassCase {
+  std::size_t padded = 0;
+  std::size_t cells = 0;
+  std::vector<std::int8_t> query, tier;
+  std::vector<std::uint8_t> usable;
+
+  Int8Prepass pass() const {
+    return {query.data(), usable.empty() ? nullptr : usable.data(), tier.data(), padded,
+            static_cast<unsigned>(std::bit_width(cells - 1))};
+  }
+
+  /// dist_sq_i8_reference per cell, with dead links zeroed on both sides.
+  std::vector<std::uint64_t> reference_keys() const {
+    const unsigned bits = pass().index_bits;
+    std::vector<std::uint64_t> keys(cells);
+    std::vector<std::int8_t> q = query, c(padded);
+    for (std::size_t i = 0; i < padded; ++i)
+      if (!usable.empty() && usable[i] == 0) q[i] = 0;
+    for (std::size_t j = 0; j < cells; ++j) {
+      for (std::size_t i = 0; i < padded; ++i)
+        c[i] = !usable.empty() && usable[i] == 0 ? 0 : tier[j * padded + i];
+      keys[j] = (dist_sq_i8_reference(q.data(), c.data(), padded) << bits) | j;
+    }
+    return keys;
+  }
+};
+
+PrepassCase random_case(std::size_t padded, std::size_t cells, Rng& rng) {
+  PrepassCase pc;
+  pc.padded = padded;
+  pc.cells = cells;
+  pc.query.resize(padded);
+  pc.tier.resize(padded * cells);
+  for (std::int8_t& v : pc.query) v = static_cast<std::int8_t>(rng.uniform(-127.0, 128.0));
+  for (std::int8_t& v : pc.tier) v = static_cast<std::int8_t>(rng.uniform(-127.0, 128.0));
+  // Plant worst-case magnitude diffs so lane arithmetic is stressed.
+  pc.query[0] = 127;
+  pc.query[padded - 1] = -127;
+  for (std::size_t j = 0; j < cells; ++j) {
+    pc.tier[j * padded] = -127;
+    pc.tier[j * padded + padded - 1] = 127;
+  }
+  return pc;
+}
+
+/// Keys of every cell from one backend, computed `grain` cells per call
+/// the way the matcher's pool split hands out cell ranges.  A sentinel
+/// past the last cell catches writes outside [j0, j1).
+std::vector<std::uint64_t> prepass_keys(KernelBackend backend, const PrepassCase& pc,
+                                        std::size_t grain) {
+  constexpr std::uint64_t kSentinel = 0xdeadbeefcafef00dULL;
+  std::vector<std::uint64_t> keys(pc.cells + 1, kSentinel);
+  const Int8Prepass pass = pc.pass();
+  for (std::size_t j0 = 0; j0 < pc.cells; j0 += grain)
+    kernel_ops(backend).int8_prepass(pass, j0, std::min(pc.cells, j0 + grain), keys.data());
+  EXPECT_EQ(keys.back(), kSentinel) << "wrote past the last cell";
+  keys.pop_back();
+  return keys;
+}
+
+/// Every backend, every split: the oracle's keys exactly.
+void expect_prepass_exact(const PrepassCase& pc) {
+  const std::vector<std::uint64_t> expected = pc.reference_keys();
+  std::vector<KernelBackend> backends{KernelBackend::kScalar};
+  if (cpu_supports_avx2()) backends.push_back(KernelBackend::kAvx2);
+  for (KernelBackend backend : backends)
+    for (std::size_t grain : {pc.cells, std::size_t{1}, std::size_t{3}, std::size_t{4}})
+      EXPECT_EQ(prepass_keys(backend, pc, grain), expected)
+          << kernel_backend_name(backend) << " padded=" << pc.padded << " cells=" << pc.cells
+          << " grain=" << grain << (pc.usable.empty() ? "" : " masked");
+}
+
 TEST(KernelBackend, Int8DistanceExactOnEveryBackend) {
   Rng rng(9);
-  // Sizes crossing the 16-lane step, the 32-element pad granule, and
-  // the int32 anti-overflow chunk boundary (2^14).
-  const std::size_t sizes[] = {1, 15, 16, 17, 31, 32, 33, 96, 255, (1u << 14) - 1, (1u << 14),
-                               (1u << 14) + 5};
-  for (std::size_t n : sizes) {
-    std::vector<std::int8_t> a(n), b(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      a[i] = static_cast<std::int8_t>(rng.uniform(-127.0, 128.0));
-      b[i] = static_cast<std::int8_t>(rng.uniform(-127.0, 128.0));
-    }
-    // Plant worst-case magnitude diffs so lane arithmetic is stressed.
-    if (n >= 4) {
-      a[0] = 127;
-      b[0] = -127;
-      a[n - 1] = -127;
-      b[n - 1] = 127;
-    }
-    const std::uint64_t expected = dist_sq_i8_reference(a.data(), b.data(), n);
-    EXPECT_EQ(kernel_ops(KernelBackend::kScalar).dist_sq_i8(a.data(), b.data(), n), expected);
-    if (cpu_supports_avx2()) {
-      EXPECT_EQ(kernel_ops(KernelBackend::kAvx2).dist_sq_i8(a.data(), b.data(), n), expected)
-          << "n=" << n;
-    }
-  }
+  // Widths crossing the 32-byte step and the int32 anti-overflow chunk
+  // boundary (2^14); cell counts off the kernel's 4-cell block.
+  const std::size_t widths[] = {32, 64, 96, 256, (1u << 14) - 32, (1u << 14), (1u << 14) + 32};
+  for (std::size_t padded : widths)
+    for (std::size_t cells : {1u, 3u, 5u, 97u})
+      expect_prepass_exact(random_case(padded, cells, rng));
 }
 
 TEST(KernelBackend, Int8DistanceSurvivesWorstCaseAccumulation) {
   // 20 000 maximal diffs: 20 000 * 254^2 = 1.29e9 overflows int32 --
   // the chunked accumulation must not.
-  const std::size_t n = 20000;
-  std::vector<std::int8_t> a(n, 127), b(n, -127);
-  const std::uint64_t expected = static_cast<std::uint64_t>(n) * 254u * 254u;
-  EXPECT_EQ(kernel_ops(KernelBackend::kScalar).dist_sq_i8(a.data(), b.data(), n), expected);
-  if (cpu_supports_avx2()) {
-    EXPECT_EQ(kernel_ops(KernelBackend::kAvx2).dist_sq_i8(a.data(), b.data(), n), expected);
-  }
+  PrepassCase pc;
+  pc.padded = 20000;
+  pc.cells = 5;
+  pc.query.assign(pc.padded, 127);
+  pc.tier.assign(pc.padded * pc.cells, -127);
+  const std::uint64_t expected = static_cast<std::uint64_t>(pc.padded) * 254u * 254u;
+  const std::vector<std::uint64_t> keys = pc.reference_keys();
+  for (std::size_t j = 0; j < pc.cells; ++j) EXPECT_EQ(keys[j] >> pc.pass().index_bits, expected);
+  expect_prepass_exact(pc);
 }
 
 TEST(KernelBackend, MaskedInt8DistanceExactOnEveryBackend) {
   Rng rng(10);
-  for (std::size_t n : {1u, 16u, 33u, 96u, 257u}) {
-    std::vector<std::int8_t> a(n), b(n);
-    std::vector<std::uint8_t> usable(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      a[i] = static_cast<std::int8_t>(rng.uniform(-127.0, 128.0));
-      b[i] = static_cast<std::int8_t>(rng.uniform(-127.0, 128.0));
-      usable[i] = rng.uniform01() < 0.7 ? 1 : 0;
-    }
-    std::uint64_t expected = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (usable[i] == 0) continue;
-      const std::int64_t d = static_cast<std::int64_t>(a[i]) - static_cast<std::int64_t>(b[i]);
-      expected += static_cast<std::uint64_t>(d * d);
-    }
-    EXPECT_EQ(kernel_ops(KernelBackend::kScalar)
-                  .dist_sq_i8_masked(a.data(), b.data(), usable.data(), n),
-              expected);
-    if (cpu_supports_avx2()) {
-      EXPECT_EQ(kernel_ops(KernelBackend::kAvx2)
-                    .dist_sq_i8_masked(a.data(), b.data(), usable.data(), n),
-                expected)
-          << "n=" << n;
+  for (std::size_t padded : {32u, 64u, 96u, 288u, (1u << 14) + 32}) {
+    for (std::size_t cells : {1u, 3u, 5u, 97u}) {
+      PrepassCase pc = random_case(padded, cells, rng);
+      pc.usable.resize(padded);
+      for (std::uint8_t& u : pc.usable) u = rng.uniform01() < 0.7 ? 1 : 0;
+      expect_prepass_exact(pc);
+      pc.usable.assign(padded, 0);  // all dead: every distance 0
+      for (std::uint64_t key : pc.reference_keys()) EXPECT_EQ(key >> pc.pass().index_bits, 0u);
+      expect_prepass_exact(pc);
     }
   }
 }

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <vector>
 
+#include "tafloc/exec/exec_config.h"
 #include "tafloc/fingerprint/link_health.h"
 #include "tafloc/fingerprint/quantized.h"
 #include "tafloc/linalg/ops.h"
@@ -19,6 +20,18 @@
 
 namespace tafloc {
 namespace {
+
+/// RAII guard: set the global pool size, restore the old one on exit.
+class ThreadGuard {
+ public:
+  explicit ThreadGuard(std::size_t threads) : previous_(global_thread_count()) {
+    set_global_threads(threads);
+  }
+  ~ThreadGuard() { set_global_threads(previous_); }
+
+ private:
+  std::size_t previous_;
+};
 
 struct Fixture {
   Matrix fingerprints;
@@ -77,9 +90,14 @@ void expect_identical(const KnnMatcher& exact, const KnnMatcher& quantized, cons
 }
 
 TEST(QuantizedMatcher, TopKMatchesExactFloatScan) {
+  // 41 x 30 cells at 40 links (64 padded bytes): more than twice the
+  // pre-pass grain of 2^15 / 64 = 512 cells, so at 4 threads the pool
+  // splits the pre-pass (and the float scan) into cell ranges, the last
+  // one not a multiple of the kernel's 4-cell block.
+  ThreadGuard guard(4);
   for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
     for (const auto& [links, w, h] : {std::tuple<std::size_t, std::size_t, std::size_t>{6, 8, 5},
-                                      {33, 12, 8}, {10, 15, 10}}) {
+                                      {33, 12, 8}, {10, 15, 10}, {40, 41, 30}}) {
       Fixture f(links, w, h, seed);
       ASSERT_TRUE(f.tier.ready());
       for (std::size_t k : {1u, 3u, 8u}) {
@@ -159,8 +177,11 @@ TEST(QuantizedMatcher, WideningPreservesExactness) {
     for (double& v : q) v = -55.0 + 1e-3 * qrng.normal();
     expect_identical(exact, quantized, q, "near-tie grid");
   }
-  EXPECT_GT(registry.counter("loc.knn.prepass_queries").value(), 0u);
-  EXPECT_GT(registry.counter("loc.knn.rerank_widenings").value(), 0u);
+  // Six queries, each scanned twice (nearest_grids and localize).  The
+  // widening count is pinned: selection and re-rank may get cheaper, but
+  // the candidate sequence m, 2m, ... and the stopping test may not move.
+  EXPECT_EQ(registry.counter("loc.knn.prepass_queries").value(), 12u);
+  EXPECT_EQ(registry.counter("loc.knn.rerank_widenings").value(), 36u);
 }
 
 TEST(QuantizedMatcher, RerankMultiplierNeverChangesResults) {
