@@ -336,6 +336,16 @@ class TafLocSystem : public Localizer {
   // Degraded-serving bookkeeping (mirrored into telemetry when attached).
   std::size_t degraded_query_count_ = 0;
   std::size_t total_degraded_calls_ = 0;
+  // Their metric handles, resolved once at construction (null when
+  // telemetry is disabled), so localize_degraded never looks a name up
+  // under the registry lock.  The registry is owned through telemetry_'s
+  // unique_ptr, so the metric objects do not move when the system does:
+  // the move constructor copies these pointers as they are.
+  Counter* degraded_queries_ = nullptr;
+  Counter* unservable_queries_ = nullptr;
+  Gauge* links_dead_ = nullptr;
+  Gauge* links_alive_ = nullptr;
+  Gauge* degraded_fraction_ = nullptr;
 
   // Durability state (see attach_durability / save / recover).
   DurabilityConfig durability_;

@@ -83,7 +83,12 @@ TafLocState TafLocState::load_file(const std::string& path) {
 TafLocSystem::TafLocSystem(const Deployment& deployment, const TafLocConfig& config)
     : deployment_(deployment),
       config_(config),
-      telemetry_(std::make_unique<MetricRegistry>(config.telemetry)) {
+      telemetry_(std::make_unique<MetricRegistry>(config.telemetry)),
+      degraded_queries_(registry_counter(telemetry_.get(), "system.degraded_queries")),
+      unservable_queries_(registry_counter(telemetry_.get(), "system.unservable_queries")),
+      links_dead_(registry_gauge(telemetry_.get(), "system.links_dead")),
+      links_alive_(registry_gauge(telemetry_.get(), "system.links_alive")),
+      degraded_fraction_(registry_gauge(telemetry_.get(), "system.degraded_fraction")) {
   TAFLOC_CHECK_ARG(config.knn_k >= 1, "knn k must be at least 1");
   TAFLOC_CHECK_ARG(config.knn_rerank_alpha >= 1, "knn re-rank multiplier must be at least 1");
   if (config_.exec.threads != 0) set_global_threads(config_.exec.threads);
@@ -113,6 +118,11 @@ TafLocSystem::TafLocSystem(TafLocSystem&& other) noexcept
       telemetry_(std::move(other.telemetry_)),
       degraded_query_count_(other.degraded_query_count_),
       total_degraded_calls_(other.total_degraded_calls_),
+      degraded_queries_(other.degraded_queries_),
+      unservable_queries_(other.unservable_queries_),
+      links_dead_(other.links_dead_),
+      links_alive_(other.links_alive_),
+      degraded_fraction_(other.degraded_fraction_),
       durability_(std::move(other.durability_)),
       store_(std::move(other.store_)),
       wal_(std::move(other.wal_)),
@@ -386,13 +396,12 @@ TafLocSystem::DegradedResult TafLocSystem::localize_degraded(std::span<const dou
   }
 
   if (telemetry_->enabled()) {
-    if (out.degraded) telemetry_->counter("system.degraded_queries").add();
-    if (!out.served) telemetry_->counter("system.unservable_queries").add();
-    telemetry_->gauge("system.links_dead").set(static_cast<double>(health.dead_count()));
-    telemetry_->gauge("system.links_alive").set(static_cast<double>(health.usable_count()));
-    telemetry_->gauge("system.degraded_fraction")
-        .set(static_cast<double>(degraded_query_count_) /
-             static_cast<double>(total_degraded_calls_));
+    if (out.degraded) degraded_queries_->add();
+    if (!out.served) unservable_queries_->add();
+    links_dead_->set(static_cast<double>(health.dead_count()));
+    links_alive_->set(static_cast<double>(health.usable_count()));
+    degraded_fraction_->set(static_cast<double>(degraded_query_count_) /
+                            static_cast<double>(total_degraded_calls_));
   }
   return out;
 }

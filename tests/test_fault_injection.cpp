@@ -360,6 +360,13 @@ TEST(DegradedServing, TelemetryCountsDegradedQueries) {
   EXPECT_NE(json.find("system.degraded_queries"), std::string::npos);
   EXPECT_NE(json.find("system.links_dead"), std::string::npos);
   EXPECT_NE(json.find("system.degraded_fraction"), std::string::npos);
+  // One degraded query out of two, served with link 0 dead and the
+  // other nine alive.
+  MetricRegistry& reg = system.telemetry();
+  EXPECT_EQ(reg.counter("system.degraded_queries").value(), 1u);
+  EXPECT_EQ(reg.gauge("system.links_dead").value(), 1.0);
+  EXPECT_EQ(reg.gauge("system.links_alive").value(), 9.0);
+  EXPECT_EQ(reg.gauge("system.degraded_fraction").value(), 0.5);
 }
 
 }  // namespace
