@@ -29,18 +29,31 @@ void hadamard_scalar(const double* a, const double* b, double* out, std::size_t 
   for (std::size_t j = 0; j < n; ++j) out[j] = a[j] * b[j];
 }
 
-void int8_prepass_scalar(const Int8Prepass& pass, std::size_t j0, std::size_t j1,
-                         std::uint64_t* keys) {
+template <bool kMasked>
+void int8_prepass_scalar_impl(const Int8Prepass& pass, std::size_t j0, std::size_t j1,
+                              std::uint64_t* keys) {
+  const std::int8_t* query = pass.query;
+  const std::size_t padded = pass.padded;
   for (std::size_t j = j0; j < j1; ++j) {
-    const std::int8_t* cell = pass.cells + j * pass.padded;
+    const std::int8_t* cell = pass.cells + j * padded;
     std::uint64_t total = 0;
-    for (std::size_t i = 0; i < pass.padded; ++i) {
-      if (pass.usable != nullptr && pass.usable[i] == 0) continue;
-      const std::int32_t d = static_cast<std::int32_t>(pass.query[i]) - cell[i];
+    for (std::size_t i = 0; i < padded; ++i) {
+      if (kMasked && pass.usable[i] == 0) continue;
+      const std::int32_t d = static_cast<std::int32_t>(query[i]) - cell[i];
       total += static_cast<std::uint64_t>(d * d);
     }
     keys[j] = (total << pass.index_bits) | j;
   }
+}
+
+/// The mask test is hoisted out of the loops so the unmasked loop
+/// vectorizes.
+void int8_prepass_scalar(const Int8Prepass& pass, std::size_t j0, std::size_t j1,
+                         std::uint64_t* keys) {
+  if (pass.usable == nullptr)
+    int8_prepass_scalar_impl<false>(pass, j0, j1, keys);
+  else
+    int8_prepass_scalar_impl<true>(pass, j0, j1, keys);
 }
 
 constexpr KernelOps kScalarOps{KernelBackend::kScalar, "scalar", axpy_scalar, hadamard_scalar,
