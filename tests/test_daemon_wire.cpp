@@ -311,6 +311,17 @@ TEST(DaemonWire, MalformedPayloadsAreRejected) {
                  std::runtime_error);
   }
 
+  // A string field's declared length is checked against the payload
+  // (and against absurdity) before a byte of it is allocated.
+  for (const std::uint64_t length : {std::uint64_t{10}, std::uint64_t{1} << 40}) {
+    storage::ByteWriter body;
+    body.put_u64(length);
+    body.put_bytes(std::vector<std::uint8_t>{'o', 'f', 'f'});  // 3 bytes present.
+    EXPECT_THROW((void)StatusRequest::decode(hand_built(PacketType::kStatusRequest, body)),
+                 std::runtime_error)
+        << "declared string length " << length;
+  }
+
   // Trailing bytes after the last field are as suspicious as truncation.
   storage::ByteWriter trailing;
   trailing.put_u64(0);  // empty zone name...
