@@ -1,5 +1,6 @@
 #include "tafloc/daemon/wire.h"
 
+#include <array>
 #include <cstddef>
 #include <stdexcept>
 
@@ -52,19 +53,50 @@ class FieldWriter {
   ByteWriter& out_;
 };
 
+/// Counts the bytes FieldWriter will write for the same fields, so a
+/// packet is encoded into a buffer sized once.
+class FieldSizer {
+ public:
+  template <class... F>
+  void operator()(const F&... values) {
+    (add(values), ...);
+  }
+
+  std::size_t bytes = 0;
+
+ private:
+  void add(const std::string& s) { bytes += 8 + s.size(); }
+  void add(std::uint64_t) { bytes += 8; }
+  void add(double) { bytes += 8; }
+  void add(bool) { bytes += 1; }
+  void add(WireStatus) { bytes += 1; }
+  void add(AdminOp) { bytes += 1; }
+  void add(const ingest::NodeBatch& batch) { bytes += batch.encoded_size(); }
+  template <class A, class B>
+  void add(const std::pair<A, B>& entry) {
+    add(entry.first);
+    add(entry.second);
+  }
+  template <class T>
+  void add(const std::vector<T>& entries) {
+    bytes += 8;
+    for (const T& entry : entries) add(entry);
+  }
+  template <class T>
+  void add(const T& nested) {
+    T::fields(nested, *this);
+  }
+};
+
 /// Smallest encoding of one T, the floor require_elements applies per
 /// declared entry: every variable-length field is a count or length
 /// prefix, so a default-constructed T (empty strings and vectors)
 /// encodes to exactly that minimum.
 template <class T>
 std::size_t min_encoded_size() {
-  static const std::size_t size = [] {
-    ByteWriter out;
-    const T empty{};
-    FieldWriter{out}(empty);
-    return out.size();
-  }();
-  return size;
+  FieldSizer size;
+  size(T{});
+  return size.bytes;
 }
 
 /// Fills a packet's fields from a payload in the order its `fields`
@@ -79,10 +111,7 @@ class FieldReader {
   }
 
  private:
-  void get(std::string& s) {
-    const std::vector<std::uint8_t> bytes = in_.get_u8_vector();
-    s.assign(reinterpret_cast<const char*>(bytes.data()), bytes.size());
-  }
+  void get(std::string& s) { s.assign(in_.get_u8_view()); }
   void get(std::uint64_t& v) { v = in_.get_u64(); }
   void get(double& v) { v = in_.get_f64(); }
   void get(bool& v) { v = in_.get_u8() != 0; }
@@ -124,14 +153,19 @@ class FieldReader {
 };
 
 /// A packet is one frame of type P::kType whose payload is the wire
-/// version followed by P's fields.
+/// version followed by P's fields, written in place behind the frame
+/// header into a buffer sized once.
 template <class P>
 std::string encode_packet(const P& packet, std::uint64_t seq) {
+  FieldSizer size;
+  P::fields(packet, size);
   ByteWriter out;
+  out.reserve(storage::kFrameHeaderBytes + 4 + size.bytes);
+  out.put_bytes(std::array<std::uint8_t, storage::kFrameHeaderBytes>{});
   out.put_u32(kWireVersion);
   FieldWriter writer(out);
   P::fields(packet, writer);
-  return storage::encode_frame(static_cast<std::uint32_t>(P::kType), seq, out.bytes());
+  return storage::seal_frame(out.take(), static_cast<std::uint32_t>(P::kType), seq);
 }
 
 /// The packet type and the wire version are checked before a single

@@ -50,6 +50,8 @@ struct NodeBatch {
 
   /// Append the versioned payload (header + readings) to `out`.
   void encode(storage::ByteWriter& out) const;
+  /// Bytes encode() appends.
+  std::size_t encoded_size() const noexcept;
   /// Decode one batch payload; throws std::runtime_error on a version
   /// mismatch, truncation, or an absurd declared count.
   static NodeBatch decode(storage::ByteReader& in);

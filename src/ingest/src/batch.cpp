@@ -7,8 +7,9 @@ namespace tafloc::ingest {
 
 namespace {
 
-/// Encoded bytes per reading: u32 link + f64 rss + u64 sequence +
-/// f64 t_days.
+/// Encoded bytes of the header (u32 version + u32 node id + u64 count)
+/// and of one reading (u32 link + f64 rss + u64 sequence + f64 t_days).
+constexpr std::size_t kHeaderBytes = 4 + 4 + 8;
 constexpr std::size_t kReadingBytes = 4 + 8 + 8 + 8;
 
 }  // namespace
@@ -33,6 +34,10 @@ void NodeBatch::encode(storage::ByteWriter& out) const {
     out.put_u64(r.sequence);
     out.put_f64(r.t_days);
   }
+}
+
+std::size_t NodeBatch::encoded_size() const noexcept {
+  return kHeaderBytes + readings.size() * kReadingBytes;
 }
 
 NodeBatch NodeBatch::decode(storage::ByteReader& in) {

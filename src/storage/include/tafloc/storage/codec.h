@@ -4,7 +4,8 @@
 // throws std::runtime_error the moment a read would run past the end
 // or a declared size is absurd -- a truncated or garbage payload can
 // never turn into a silent bad_alloc or out-of-bounds read.  Integers
-// are little-endian fixed width; doubles travel as their IEEE-754 bit
+// are little-endian fixed width (store_le/load_le, which the frame
+// header in record.h uses too); doubles travel as their IEEE-754 bit
 // pattern, so a round trip is bit-exact (NaN payloads included).
 #pragma once
 
@@ -23,6 +24,23 @@ namespace tafloc::storage {
 /// far below what would make a hostile header allocate the machine.
 inline constexpr std::uint64_t kMaxElements = 1ull << 28;  // 268M
 
+/// Writes `v` as sizeof(T) little-endian bytes at `out`.  The compiler
+/// merges the byte stores into one store (plus a byte swap on a
+/// big-endian host).
+template <class T>
+void store_le(char* out, T v) noexcept {
+  for (std::size_t i = 0; i < sizeof(T); ++i) out[i] = static_cast<char>(v >> (8 * i));
+}
+
+/// Reads sizeof(T) little-endian bytes at `in`; the inverse of store_le.
+template <class T>
+T load_le(const char* in) noexcept {
+  T v = 0;
+  for (std::size_t i = 0; i < sizeof(T); ++i)
+    v |= static_cast<T>(static_cast<std::uint8_t>(in[i])) << (8 * i);
+  return v;
+}
+
 class ByteWriter {
  public:
   void put_u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
@@ -39,6 +57,8 @@ class ByteWriter {
   const std::string& bytes() const noexcept { return buf_; }
   std::string take() noexcept { return std::move(buf_); }
   std::size_t size() const noexcept { return buf_.size(); }
+  /// Pre-sizes the buffer for `bytes` bytes of output in total.
+  void reserve(std::size_t bytes) { buf_.reserve(bytes); }
 
  private:
   std::string buf_;
@@ -59,6 +79,9 @@ class ByteReader {
   std::vector<double> get_f64_vector();
   std::vector<std::size_t> get_size_vector();
   std::vector<std::uint8_t> get_u8_vector();
+  /// get_u8_vector() without the copy: the bytes as a view into the
+  /// payload, valid for as long as the payload is.
+  std::string_view get_u8_view();
 
   /// Declared-count guard for callers that encode their own shapes:
   /// throws unless `count` elements of `elem_size` bytes are sane and

@@ -48,6 +48,13 @@ const char* frame_status_name(FrameStatus status);
 /// Encode one frame as bytes ready to append to a file.
 std::string encode_frame(std::uint32_t type, std::uint64_t seq, std::string_view payload);
 
+/// encode_frame() for a payload written in place: `frame` is
+/// kFrameHeaderBytes of reserved header followed by the payload.
+/// Fills in the header (the CRC last) and returns the frame, so a
+/// writer that reserves the header up front builds a frame in one
+/// buffer with no payload copy.
+std::string seal_frame(std::string frame, std::uint32_t type, std::uint64_t seq);
+
 /// Decode the frame starting at `pos`.  On kOk fills `out` and
 /// advances `pos` past the frame; otherwise `pos` is left at the bad
 /// frame and `error` (optional) says why.  Never throws, never

@@ -13,11 +13,15 @@ namespace {
 }  // namespace
 
 void ByteWriter::put_u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
+  char bytes[4] = {};
+  store_le(bytes, v);
+  buf_.append(bytes, sizeof bytes);
 }
 
 void ByteWriter::put_u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
+  char bytes[8] = {};
+  store_le(bytes, v);
+  buf_.append(bytes, sizeof bytes);
 }
 
 void ByteWriter::put_bytes(std::span<const std::uint8_t> bytes) {
@@ -50,18 +54,14 @@ std::uint8_t ByteReader::get_u8() {
 
 std::uint32_t ByteReader::get_u32() {
   need(4, "u32");
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(data_[pos_ + i])) << (8 * i);
+  const auto v = load_le<std::uint32_t>(data_.data() + pos_);
   pos_ += 4;
   return v;
 }
 
 std::uint64_t ByteReader::get_u64() {
   need(8, "u64");
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i)
-    v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(data_[pos_ + i])) << (8 * i);
+  const auto v = load_le<std::uint64_t>(data_.data() + pos_);
   pos_ += 8;
   return v;
 }
@@ -90,11 +90,16 @@ std::vector<std::size_t> ByteReader::get_size_vector() {
 }
 
 std::vector<std::uint8_t> ByteReader::get_u8_vector() {
+  const std::string_view bytes = get_u8_view();
+  return {bytes.begin(), bytes.end()};
+}
+
+std::string_view ByteReader::get_u8_view() {
   const std::uint64_t n = get_u64();
   require_elements(n, 1, "u8 vector");
-  std::vector<std::uint8_t> out(static_cast<std::size_t>(n));
-  for (std::uint8_t& v : out) v = get_u8();
-  return out;
+  const std::string_view bytes = data_.substr(pos_, static_cast<std::size_t>(n));
+  pos_ += bytes.size();
+  return bytes;
 }
 
 void ByteReader::expect_exhausted(const char* what) const {

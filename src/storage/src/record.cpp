@@ -8,34 +8,13 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "tafloc/storage/codec.h"
 #include "tafloc/storage/kill_point.h"
 #include "tafloc/util/crc32c.h"
 
 namespace tafloc::storage {
 
 namespace {
-
-void put_u32_le(std::string& buf, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) buf.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
-}
-
-void put_u64_le(std::string& buf, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) buf.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
-}
-
-std::uint32_t get_u32_le(std::string_view buf, std::size_t pos) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(buf[pos + i])) << (8 * i);
-  return v;
-}
-
-std::uint64_t get_u64_le(std::string_view buf, std::size_t pos) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i)
-    v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(buf[pos + i])) << (8 * i);
-  return v;
-}
 
 void set_error(std::string* error, const char* what) {
   if (error != nullptr) *error = what;
@@ -59,20 +38,25 @@ const char* frame_status_name(FrameStatus status) {
 }
 
 std::string encode_frame(std::uint32_t type, std::uint64_t seq, std::string_view payload) {
-  if (payload.size() > kMaxFrameBytes - 12)
-    throw std::invalid_argument("encode_frame: payload exceeds kMaxFrameBytes");
-  std::string body;
-  body.reserve(12 + payload.size());
-  put_u32_le(body, type);
-  put_u64_le(body, seq);
-  body.append(payload);
+  std::string frame;
+  frame.reserve(kFrameHeaderBytes + payload.size());
+  frame.resize(kFrameHeaderBytes);
+  frame.append(payload);
+  return seal_frame(std::move(frame), type, seq);
+}
 
-  std::string out;
-  out.reserve(8 + body.size());
-  put_u32_le(out, static_cast<std::uint32_t>(body.size()));
-  put_u32_le(out, crc32c(body.data(), body.size()));
-  out.append(body);
-  return out;
+std::string seal_frame(std::string frame, std::uint32_t type, std::uint64_t seq) {
+  if (frame.size() < kFrameHeaderBytes)
+    throw std::invalid_argument("frame: no room for the header");
+  if (frame.size() - kFrameHeaderBytes > kMaxFrameBytes - 12)
+    throw std::invalid_argument("frame: payload exceeds kMaxFrameBytes");
+  char* header = frame.data();
+  const auto len = static_cast<std::uint32_t>(frame.size() - 8);
+  store_le(header, len);
+  store_le(header + 8, type);
+  store_le(header + 12, seq);
+  store_le(header + 4, crc32c(header + 8, len));  // last: it covers type and seq.
+  return frame;
 }
 
 FrameStatus decode_frame(std::string_view buf, std::size_t& pos, Frame& out,
@@ -83,8 +67,8 @@ FrameStatus decode_frame(std::string_view buf, std::size_t& pos, Frame& out,
     set_error(error, "truncated frame prefix");
     return FrameStatus::kTorn;
   }
-  const std::uint32_t len = get_u32_le(buf, pos);
-  const std::uint32_t crc = get_u32_le(buf, pos + 4);
+  const auto len = load_le<std::uint32_t>(buf.data() + pos);
+  const auto crc = load_le<std::uint32_t>(buf.data() + pos + 4);
   if (len < 12 || len > kMaxFrameBytes) {
     set_error(error, "absurd frame length");
     return FrameStatus::kCorrupt;
@@ -98,8 +82,8 @@ FrameStatus decode_frame(std::string_view buf, std::size_t& pos, Frame& out,
     set_error(error, "checksum mismatch");
     return FrameStatus::kCorrupt;
   }
-  out.type = get_u32_le(body, 0);
-  out.seq = get_u64_le(body, 4);
+  out.type = load_le<std::uint32_t>(body.data());
+  out.seq = load_le<std::uint64_t>(body.data() + 4);
   out.payload.assign(body.substr(12));
   pos += 8 + len;
   return FrameStatus::kOk;

@@ -35,6 +35,7 @@ TEST(NodeBatchCodec, RoundTripsIncludingNaN) {
                                          {1, -60.0, 3, 3.0}});
   storage::ByteWriter w;
   batch.encode(w);
+  EXPECT_EQ(w.size(), batch.encoded_size());
   storage::ByteReader r(w.bytes());
   const NodeBatch decoded = NodeBatch::decode(r);
   EXPECT_TRUE(r.exhausted());
@@ -45,6 +46,7 @@ TEST(NodeBatchCodec, EmptyBatchRoundTrips) {
   const NodeBatch batch = make_batch(0, {});
   storage::ByteWriter w;
   batch.encode(w);
+  EXPECT_EQ(w.size(), batch.encoded_size());
   storage::ByteReader r(w.bytes());
   EXPECT_TRUE(NodeBatch::decode(r) == batch);
 }

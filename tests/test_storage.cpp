@@ -51,12 +51,28 @@ void write_all(const std::string& path, const std::string& bytes) {
 
 // -- CRC32C --
 
+std::span<const std::uint8_t> as_bytes(const std::string& s) {
+  return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};
+}
+
 TEST(Crc32c, MatchesKnownVectors) {
-  // RFC 3720 test vector: 32 zero bytes.
-  std::uint8_t zeros[32] = {};
-  EXPECT_EQ(crc32c(zeros, sizeof(zeros)), 0x8a9136aaU);
-  const std::string numbers = "123456789";
-  EXPECT_EQ(crc32c(numbers.data(), numbers.size()), 0xe3069283U);
+  // RFC 3720 B.4 vectors plus the common "123456789" check value, run
+  // through crc32c() (the hardware path where the CPU has SSE4.2) and
+  // through the bytewise table.
+  std::string increasing(32, '\0');
+  for (std::size_t i = 0; i < increasing.size(); ++i) increasing[i] = static_cast<char>(i);
+  const std::string decreasing(increasing.rbegin(), increasing.rend());
+  const std::pair<std::string, std::uint32_t> vectors[] = {
+      {std::string(32, '\x00'), 0x8a9136aaU},
+      {std::string(32, '\xff'), 0x62a8ab43U},
+      {increasing, 0x46dd794eU},
+      {decreasing, 0x113fdb5cU},
+      {"123456789", 0xe3069283U},
+  };
+  for (const auto& [bytes, expected] : vectors) {
+    EXPECT_EQ(crc32c(bytes.data(), bytes.size()), expected);
+    EXPECT_EQ(crc32c_table(as_bytes(bytes)), expected);
+  }
 }
 
 TEST(Crc32c, SeedChainsIncrementally) {
@@ -64,6 +80,34 @@ TEST(Crc32c, SeedChainsIncrementally) {
   const std::uint32_t whole = crc32c(all.data(), all.size());
   const std::uint32_t part = crc32c(all.data() + 5, all.size() - 5, crc32c(all.data(), 5));
   EXPECT_EQ(whole, part);
+}
+
+TEST(Crc32c, HardwarePathMatchesTable) {
+  if (!crc32c_hardware()) GTEST_SKIP() << "no SSE4.2 crc32 instruction on this CPU";
+  std::string bytes(300 + 8, '\0');
+  std::uint32_t state = 0x9e3779b9U;
+  for (char& c : bytes) {
+    state = state * 1664525U + 1013904223U;
+    c = static_cast<char>(state >> 24);
+  }
+  // Every length 0-300 at every start offset 0-7 (word reads straddle
+  // the tail differently at each), from a fresh and a chained seed.
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const std::span<const std::uint8_t> data = as_bytes(bytes).subspan(offset, len);
+      ASSERT_EQ(crc32c(data), crc32c_table(data)) << "offset " << offset << " len " << len;
+      ASSERT_EQ(crc32c(data, 0xdeadbeefU), crc32c_table(data, 0xdeadbeefU))
+          << "offset " << offset << " len " << len;
+    }
+  }
+  // Split streams chain to the whole-buffer checksum on both paths.
+  const std::span<const std::uint8_t> all = as_bytes(bytes);
+  for (std::size_t split = 0; split <= all.size(); split += 13) {
+    const std::uint32_t head = crc32c(all.first(split));
+    EXPECT_EQ(crc32c(all.subspan(split), head), crc32c_table(all));
+    EXPECT_EQ(crc32c_table(all.subspan(split), crc32c_table(all.first(split))),
+              crc32c_table(all));
+  }
 }
 
 // -- codec --
@@ -133,6 +177,11 @@ TEST(Record, FrameRoundTrip) {
   EXPECT_EQ(frame.payload, "payload bytes");
   EXPECT_EQ(pos, bytes.size());
   EXPECT_EQ(decode_frame(bytes, pos, frame, &error), FrameStatus::kEof);
+
+  // Built in place behind a reserved header: the same bytes.
+  EXPECT_EQ(seal_frame(std::string(kFrameHeaderBytes, '\0') + "payload bytes", 42, 7), bytes);
+  EXPECT_THROW((void)seal_frame(std::string(kFrameHeaderBytes - 1, '\0'), 42, 7),
+               std::invalid_argument);
 }
 
 TEST(Record, TruncatedFrameIsTornNotCorrupt) {
