@@ -240,13 +240,17 @@ void ControlServer::handle_connection(int fd, short revents) {
     return;
   }
 
-  // Serve every complete packet in the buffer.
+  // Serve every complete packet in the buffer.  The walk goes by offset
+  // and the consumed prefix is erased once at the end, so k pipelined
+  // frames move the buffer once, not k times.
+  std::size_t pos = 0;
+  storage::Frame frame;
+  std::string error;
   for (;;) {
-    storage::Frame frame;
-    std::string error;
-    const ExtractResult result = extract_packet(it->second.buffer, frame, &error);
-    if (result == ExtractResult::kNeedMore) break;
-    if (result == ExtractResult::kCorrupt) {
+    const storage::FrameStatus status =
+        storage::decode_frame(it->second.buffer, pos, frame, &error);
+    if (status == storage::FrameStatus::kEof || status == storage::FrameStatus::kTorn) break;
+    if (status == storage::FrameStatus::kCorrupt) {
       // Framing is lost on this byte stream: one error packet (best
       // effort -- the CRC already failed, the peer may be gone), then
       // close.  Other connections and every zone are unaffected.
@@ -268,6 +272,7 @@ void ControlServer::handle_connection(int fd, short revents) {
     it = conns_.find(fd);
     if (it == conns_.end()) return;
   }
+  it->second.buffer.erase(0, pos);
   if (peer_gone) close_connection(fd);
 }
 

@@ -339,6 +339,43 @@ TEST(ControlServerSocket, ServesFramesAndSurvivesGarbage) {
   }
 
   {
+    // Many packets in one write are all answered, in seq order.  The
+    // 256 probe responses (about 21 KB) fit well inside the socket
+    // buffer, so the daemon never waits on this client while it sends.
+    constexpr std::uint64_t kFirst = 100, kCount = 256;
+    Client client(socket_path);
+    std::string burst;
+    for (std::uint64_t seq = kFirst; seq < kFirst + kCount; ++seq) {
+      burst += ProbeRequest{"office"}.encode(seq);
+    }
+    client.send(burst);
+    storage::Frame frame;
+    for (std::uint64_t seq = kFirst; seq < kFirst + kCount; ++seq) {
+      ASSERT_TRUE(client.recv(frame));
+      ASSERT_EQ(frame.seq, seq);
+      EXPECT_EQ(ProbeResponse::decode(frame).status, WireStatus::kOk);
+    }
+  }
+
+  {
+    // Good packets then garbage in one write: each good packet is
+    // answered before the one error packet, then the daemon closes.
+    Client client(socket_path);
+    client.send(ProbeRequest{"office"}.encode(20) + StatusRequest{"office"}.encode(21) +
+                std::string(64, '\xfe'));
+    storage::Frame frame;
+    ASSERT_TRUE(client.recv(frame));
+    EXPECT_EQ(ProbeResponse::decode(frame).status, WireStatus::kOk);
+    EXPECT_EQ(frame.seq, 20u);
+    ASSERT_TRUE(client.recv(frame));
+    EXPECT_EQ(StatusResponse::decode(frame).status, WireStatus::kOk);
+    EXPECT_EQ(frame.seq, 21u);
+    ASSERT_TRUE(client.recv(frame));
+    EXPECT_EQ(ErrorResponse::decode(frame).status, WireStatus::kBadRequest);
+    EXPECT_FALSE(client.recv(frame));
+  }
+
+  {
     // Garbage bytes: the daemon replies with one error packet (best
     // effort) and closes this connection -- and only this connection.
     Client garbage(socket_path);
