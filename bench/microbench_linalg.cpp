@@ -17,6 +17,7 @@
 // embedded in the JSON record.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -28,8 +29,6 @@
 #include "tafloc/telemetry/trace.h"
 #include "tafloc/linalg/cg.h"
 #include "tafloc/linalg/cholesky.h"
-#include "tafloc/linalg/eig.h"
-#include "tafloc/linalg/lu.h"
 #include "tafloc/linalg/ops.h"
 #include "tafloc/linalg/qr.h"
 #include "tafloc/linalg/sparse.h"
@@ -164,16 +163,6 @@ void BM_CholeskySolve(benchmark::State& state) {
 }
 BENCHMARK(BM_CholeskySolve)->Arg(96)->Arg(400);
 
-void BM_LuSolve(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(4);
-  const Matrix a = random_gaussian(n, n, rng);
-  Vector b(n);
-  for (double& v : b) v = rng.normal();
-  for (auto _ : state) benchmark::DoNotOptimize(solve_linear(a, b));
-}
-BENCHMARK(BM_LuSolve)->Arg(96)->Arg(256);
-
 void BM_ConjugateGradient(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(5);
@@ -182,10 +171,15 @@ void BM_ConjugateGradient(benchmark::State& state) {
   for (std::size_t i = 0; i < n; ++i) a(i, i) += 1.0;
   Vector b(n);
   for (double& v : b) v = rng.normal();
-  const Vector x0(n, 0.0);
+  const LinearOperatorInto apply = [&](std::span<const double> v, std::span<double> y) {
+    const Vector av = multiply(a, v);
+    std::copy(av.begin(), av.end(), y.begin());
+  };
+  Vector x(n);
+  CgScratch scratch;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        conjugate_gradient([&](const Vector& v) { return multiply(a, v); }, b, x0));
+    std::fill(x.begin(), x.end(), 0.0);
+    benchmark::DoNotOptimize(conjugate_gradient_in_place(apply, b, x, scratch));
   }
 }
 BENCHMARK(BM_ConjugateGradient)->Arg(96)->Arg(400)->Unit(benchmark::kMicrosecond);
@@ -204,15 +198,6 @@ void BM_SparseMatvec(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(w.multiply(x));
 }
 BENCHMARK(BM_SparseMatvec)->Arg(900)->Arg(3600);
-
-void BM_EigSymmetric(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(7);
-  const Matrix g = random_gaussian(n, n, rng);
-  Matrix a = g + g.transposed();
-  for (auto _ : state) benchmark::DoNotOptimize(eig_symmetric(a));
-}
-BENCHMARK(BM_EigSymmetric)->Arg(16)->Arg(64)->Unit(benchmark::kMicrosecond);
 
 void BM_SingularValueShrink(benchmark::State& state) {
   const Matrix a = fixture_matrix(10, 96, 8);

@@ -17,13 +17,8 @@
 // accuracy is bounded by the imaging resolution and by multipath model
 // error, which is why the paper finds it coarser than fingerprinting.
 //
-// Two solver backends:
-//  - Direct: dense Cholesky of the N x N normal matrix, factored once
-//    (fast per-observation; fine up to a few hundred grid cells);
-//  - Iterative: the weight model stays sparse (each ellipse covers a
-//    thin band) and each image is solved by conjugate gradients with
-//    on-the-fly Laplacian application -- scales to Fig. 4-size areas
-//    (thousands of cells) where the dense factorization would not.
+// The N x N normal matrix is Cholesky-factored once at construction, so
+// each image costs one sparse W^T y plus two triangular solves.
 #pragma once
 
 #include <cstddef>
@@ -36,23 +31,18 @@
 
 namespace tafloc {
 
-enum class RtiSolver { Direct, Iterative };
-
 struct RtiConfig {
   double ellipse_width_m = 0.4;   ///< lambda: excess-path width of the weight ellipse.
   double regularization = 3.0;    ///< alpha: smoothness prior weight.
   double ridge = 1e-3;            ///< eps: keeps the normal matrix SPD.
   double top_fraction = 0.08;     ///< fraction of brightest pixels in the centroid.
-  RtiSolver solver = RtiSolver::Direct;
-  double cg_tolerance = 1e-8;     ///< Iterative backend stopping criterion.
-  std::size_t cg_max_iterations = 500;
 };
 
 class RtiLocalizer : public Localizer {
  public:
   /// `ambient` is the current target-free RSS per link (same order as
-  /// deployment links).  The weight model (and, for the Direct backend,
-  /// the factored regularized inverse) is precomputed here.
+  /// deployment links).  The weight model and the factored regularized
+  /// normal matrix are precomputed here.
   RtiLocalizer(const Deployment& deployment, Vector ambient, const RtiConfig& config = {});
 
   Point2 localize(std::span<const double> rss) const override;
@@ -69,23 +59,18 @@ class RtiLocalizer : public Localizer {
   std::vector<Point2> localize_multi(std::span<const double> rss, std::size_t max_targets,
                                      double blob_threshold_fraction = 0.5) const;
 
-  /// Dense weight model (Direct backend only; throws std::logic_error
-  /// for the Iterative backend, which never densifies).
-  const Matrix& weight_model() const;
-
-  /// Sparse weight model (available for both backends).
-  const SparseMatrix& sparse_weight_model() const noexcept { return w_sparse_; }
+  /// Dense weight model (M x N).
+  const Matrix& weight_model() const noexcept { return w_dense_; }
 
  private:
-  Vector solve_direct(const Vector& wty) const;
-  Vector solve_iterative(const Vector& wty) const;
-
   GridMap grid_;
   Vector ambient_;
   RtiConfig config_;
-  SparseMatrix w_sparse_;  ///< M x N ellipse weight model (always built).
-  Matrix w_dense_;         ///< Direct backend only.
-  Matrix chol_;            ///< Direct backend: Cholesky factor of the normal matrix.
+  /// M x N ellipse weight model.  image() forms W^T y from the sparse
+  /// form, so a NaN on one link reaches only the pixels in its ellipse.
+  SparseMatrix w_sparse_;
+  Matrix w_dense_;
+  Matrix chol_;  ///< Cholesky factor of the regularized normal matrix.
 };
 
 }  // namespace tafloc

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <numeric>
 
-#include "tafloc/linalg/cg.h"
 #include "tafloc/linalg/cholesky.h"
 #include "tafloc/util/check.h"
 
@@ -19,8 +18,6 @@ RtiLocalizer::RtiLocalizer(const Deployment& deployment, Vector ambient, const R
   TAFLOC_CHECK_ARG(config.ridge > 0.0, "ridge must be positive");
   TAFLOC_CHECK_ARG(config.top_fraction > 0.0 && config.top_fraction <= 1.0,
                    "top fraction must be in (0, 1]");
-  TAFLOC_CHECK_ARG(config.cg_tolerance > 0.0, "CG tolerance must be positive");
-  TAFLOC_CHECK_ARG(config.cg_max_iterations > 0, "CG iteration cap must be positive");
 
   const std::size_t m = deployment.num_links();
   const std::size_t n = grid_.num_cells();
@@ -37,56 +34,23 @@ RtiLocalizer::RtiLocalizer(const Deployment& deployment, Vector ambient, const R
   }
   w_sparse_ = SparseMatrix(m, n, std::move(triplets));
 
-  if (config.solver == RtiSolver::Direct) {
-    w_dense_ = w_sparse_.to_dense();
-    // Regularized normal matrix Q = W^T W + alpha * Laplacian + eps I,
-    // where the Laplacian sums (e_a - e_b)(e_a - e_b)^T over 4-neighbour
-    // grid pairs (the Dx^T Dx + Dy^T Dy 'difference image' prior).
-    Matrix q(n, n);
-    gram_product_into(w_dense_.view(), w_dense_.view(), q.view());
-    for (std::size_t j = 0; j < n; ++j) {
-      for (std::size_t nb : grid_.neighbors4(j)) {
-        if (nb < j) continue;  // count each pair once
-        q(j, j) += config.regularization;
-        q(nb, nb) += config.regularization;
-        q(j, nb) -= config.regularization;
-        q(nb, j) -= config.regularization;
-      }
-      q(j, j) += config.ridge;
+  w_dense_ = w_sparse_.to_dense();
+  // Regularized normal matrix Q = W^T W + alpha * Laplacian + eps I,
+  // where the Laplacian sums (e_a - e_b)(e_a - e_b)^T over 4-neighbour
+  // grid pairs (the Dx^T Dx + Dy^T Dy 'difference image' prior).
+  Matrix q(n, n);
+  gram_product_into(w_dense_.view(), w_dense_.view(), q.view());
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t nb : grid_.neighbors4(j)) {
+      if (nb < j) continue;  // count each pair once
+      q(j, j) += config.regularization;
+      q(nb, nb) += config.regularization;
+      q(j, nb) -= config.regularization;
+      q(nb, j) -= config.regularization;
     }
-    chol_ = cholesky_factor(q);
+    q(j, j) += config.ridge;
   }
-}
-
-const Matrix& RtiLocalizer::weight_model() const {
-  TAFLOC_CHECK_STATE(config_.solver == RtiSolver::Direct,
-                     "the dense weight model exists only for the Direct backend");
-  return w_dense_;
-}
-
-Vector RtiLocalizer::solve_direct(const Vector& wty) const {
-  return cholesky_solve(chol_, wty);
-}
-
-Vector RtiLocalizer::solve_iterative(const Vector& wty) const {
-  const std::size_t n = grid_.num_cells();
-  const auto apply = [&](const Vector& x) -> Vector {
-    // Q x = W^T (W x) + alpha * Laplacian(x) + eps x, all matrix-free.
-    const Vector wx = w_sparse_.multiply(x);
-    Vector y = w_sparse_.multiply_transposed(wx);
-    for (std::size_t j = 0; j < n; ++j) {
-      double lap = 0.0;
-      const auto neighbors = grid_.neighbors4(j);
-      for (std::size_t nb : neighbors) lap += x[j] - x[nb];
-      y[j] += config_.regularization * lap + config_.ridge * x[j];
-    }
-    return y;
-  };
-  CgOptions opts;
-  opts.relative_tolerance = config_.cg_tolerance;
-  opts.max_iterations = config_.cg_max_iterations;
-  const Vector x0(n, 0.0);
-  return conjugate_gradient(apply, wty, x0, opts).x;
+  chol_ = cholesky_factor(q);
 }
 
 Vector RtiLocalizer::image(std::span<const double> rss) const {
@@ -94,8 +58,7 @@ Vector RtiLocalizer::image(std::span<const double> rss) const {
   // y = RSS change attributable to the target (positive = attenuation).
   Vector y(rss.size());
   for (std::size_t i = 0; i < rss.size(); ++i) y[i] = ambient_[i] - rss[i];
-  const Vector wty = w_sparse_.multiply_transposed(y);
-  return config_.solver == RtiSolver::Direct ? solve_direct(wty) : solve_iterative(wty);
+  return cholesky_solve(chol_, w_sparse_.multiply_transposed(y));
 }
 
 std::vector<Point2> RtiLocalizer::localize_multi(std::span<const double> rss,

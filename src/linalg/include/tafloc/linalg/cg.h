@@ -11,33 +11,21 @@
 
 namespace tafloc {
 
-/// Result of a CG run.
-struct CgResult {
-  Vector x;                  ///< final iterate.
-  std::size_t iterations = 0;
-  bool converged = false;    ///< residual criterion met within the cap.
-  double residual_norm = 0.0;
-};
-
 /// Options controlling the iteration.
 struct CgOptions {
   double relative_tolerance = 1e-10;  ///< stop when ||r|| <= tol * ||b||.
   std::size_t max_iterations = 0;     ///< 0 means "dimension of the system".
 };
 
-/// Apply-callback type: y = A x for the SPD operator A.
-using LinearOperator = std::function<Vector(const Vector&)>;
-
-/// Destination-passing apply-callback: write A x into `out`
+/// Apply-callback for the SPD operator A: write A x into `out`
 /// (pre-sized); must not retain either span.
 using LinearOperatorInto =
     std::function<void(std::span<const double> x, std::span<double> out)>;
 
-/// Iteration outcome of the in-place solver (the iterate itself lives
-/// in the caller's buffer).
+/// Iteration outcome (the iterate itself lives in the caller's buffer).
 struct CgSummary {
   std::size_t iterations = 0;
-  bool converged = false;
+  bool converged = false;    ///< residual criterion met within the cap.
   double residual_norm = 0.0;
 };
 
@@ -49,17 +37,11 @@ struct CgScratch {
   Vector r, p, ap;
 };
 
-/// Solve A x = b with CG starting from x0 (pass an all-zero vector when
-/// no better guess exists).  The operator must be symmetric positive
-/// (semi-)definite; a breakdown (p^T A p <= 0) stops the iteration with
-/// converged == false.
-CgResult conjugate_gradient(const LinearOperator& apply, std::span<const double> b,
-                            std::span<const double> x0, const CgOptions& options = {});
-
-/// Allocation-free CG: `x` holds the initial guess on entry and the
-/// final iterate on exit; all temporaries come from `scratch`.
-/// Identical arithmetic to conjugate_gradient (the value API is a thin
-/// wrapper over this one).
+/// Solve A x = b with allocation-free CG: `x` holds the initial guess
+/// on entry (all zeros when no better guess exists) and the final
+/// iterate on exit; all temporaries come from `scratch`.  The operator
+/// must be symmetric positive (semi-)definite; a breakdown
+/// (p^T A p <= 0) stops the iteration with converged == false.
 CgSummary conjugate_gradient_in_place(const LinearOperatorInto& apply, std::span<const double> b,
                                       std::span<double> x, CgScratch& scratch,
                                       const CgOptions& options = {});

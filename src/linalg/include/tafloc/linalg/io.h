@@ -1,24 +1,13 @@
-// Serialization for matrices and vectors.
+// Binary serialization for matrices and vectors (storage/codec.h
+// ByteWriter/ByteReader, little-endian, IEEE-754 bit patterns): the
+// payload form the durability layer embeds in snapshots and WAL
+// records.  Round trips are bit-exact.
 //
-// Text format (whitespace separated, full double precision):
-//   matrix <rows> <cols>\n  <row-major values...>
-//   vector <size>\n         <values...>
-// Used to persist TafLoc's calibration state (fingerprints, correlation
-// matrix, masks) so a deployment survives process restarts.
-//
-// Binary format (storage/codec.h ByteWriter/ByteReader, little-endian,
-// IEEE-754 bit patterns): the payload form the durability layer embeds
-// in snapshots and WAL records.  Round trips are bit-exact, which the
-// text format's decimal round trip is not required to be.
-//
-// Both loaders are hardened against hostile input: dimension headers
+// The loaders are hardened against hostile input: dimension headers
 // are validated against kMaxLoadElements *before* any allocation, so a
-// truncated, garbage or adversarial stream yields std::runtime_error --
+// truncated, garbage or adversarial payload yields std::runtime_error --
 // never bad_alloc, UB, or a silent short read.
 #pragma once
-
-#include <iosfwd>
-#include <string>
 
 #include "tafloc/linalg/matrix.h"
 #include "tafloc/storage/codec.h"
@@ -29,20 +18,6 @@ namespace tafloc {
 /// Generous for any TafLoc deployment; small enough that a garbage
 /// header cannot drive the allocator into the ground.
 inline constexpr std::uint64_t kMaxLoadElements = storage::kMaxElements;
-
-/// Write / read a matrix.  Loading throws std::runtime_error on
-/// malformed input (wrong tag, bad/absurd dimensions, missing values).
-void save_matrix(const Matrix& m, std::ostream& out);
-Matrix load_matrix(std::istream& in);
-
-/// Write / read a vector.
-void save_vector(std::span<const double> v, std::ostream& out);
-Vector load_vector(std::istream& in);
-
-/// File-path conveniences (throw std::runtime_error when the file
-/// cannot be opened).
-void save_matrix_file(const Matrix& m, const std::string& path);
-Matrix load_matrix_file(const std::string& path);
 
 /// Binary (bit-exact) forms over a storage payload buffer.  Loading
 /// throws std::runtime_error on truncated or absurd input.

@@ -62,24 +62,4 @@ CgSummary conjugate_gradient_in_place(const LinearOperatorInto& apply, std::span
   return out;
 }
 
-CgResult conjugate_gradient(const LinearOperator& apply, std::span<const double> b,
-                            std::span<const double> x0, const CgOptions& options) {
-  TAFLOC_CHECK_ARG(static_cast<bool>(apply), "CG needs a non-empty operator");
-  CgResult out;
-  out.x.assign(x0.begin(), x0.end());
-  CgScratch scratch;
-  Vector in(b.size());
-  const LinearOperatorInto apply_into = [&](std::span<const double> v, std::span<double> y) {
-    std::copy(v.begin(), v.end(), in.begin());
-    const Vector result = apply(in);
-    TAFLOC_CHECK_ARG(result.size() == y.size(), "operator returned a vector of wrong length");
-    std::copy(result.begin(), result.end(), y.begin());
-  };
-  const CgSummary summary = conjugate_gradient_in_place(apply_into, b, out.x, scratch, options);
-  out.iterations = summary.iterations;
-  out.converged = summary.converged;
-  out.residual_norm = summary.residual_norm;
-  return out;
-}
-
 }  // namespace tafloc

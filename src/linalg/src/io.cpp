@@ -1,10 +1,7 @@
 #include "tafloc/linalg/io.h"
 
-#include <fstream>
-#include <iomanip>
-#include <istream>
-#include <ostream>
 #include <stdexcept>
+#include <string>
 
 namespace tafloc {
 
@@ -14,85 +11,7 @@ namespace {
   throw std::runtime_error("linalg load: malformed input: " + what);
 }
 
-void expect_tag(std::istream& in, const char* tag) {
-  std::string got;
-  if (!(in >> got) || got != tag) malformed("expected tag '" + std::string(tag) + "'");
-}
-
-/// Reject dimension headers no real file could carry *before* any
-/// allocation happens: negative, or so large that resize() would throw
-/// bad_alloc (or overflow rows * cols) on a stream that is plainly
-/// garbage rather than big.
-void check_dimensions(long long rows, long long cols) {
-  if (rows < 0 || cols < 0) malformed("matrix dimensions");
-  const auto r = static_cast<std::uint64_t>(rows);
-  const auto c = static_cast<std::uint64_t>(cols);
-  if (r > kMaxLoadElements || c > kMaxLoadElements || (c != 0 && r > kMaxLoadElements / c))
-    malformed("absurd matrix dimensions");
-}
-
 }  // namespace
-
-void save_matrix(const Matrix& m, std::ostream& out) {
-  out << "matrix " << m.rows() << ' ' << m.cols() << '\n';
-  out << std::setprecision(17);
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    for (std::size_t c = 0; c < m.cols(); ++c) {
-      if (c > 0) out << ' ';
-      out << m(r, c);
-    }
-    out << '\n';
-  }
-}
-
-Matrix load_matrix(std::istream& in) {
-  expect_tag(in, "matrix");
-  long long rows = -1, cols = -1;
-  if (!(in >> rows >> cols)) malformed("matrix dimensions");
-  check_dimensions(rows, cols);
-  if ((rows == 0) != (cols == 0)) malformed("half-empty matrix shape");
-  if (rows == 0) return Matrix();
-  Matrix m(static_cast<std::size_t>(rows), static_cast<std::size_t>(cols));
-  for (double& x : m.data()) {
-    if (!(in >> x)) malformed("matrix values (truncated?)");
-  }
-  return m;
-}
-
-void save_vector(std::span<const double> v, std::ostream& out) {
-  out << "vector " << v.size() << '\n';
-  out << std::setprecision(17);
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (i > 0) out << ' ';
-    out << v[i];
-  }
-  out << '\n';
-}
-
-Vector load_vector(std::istream& in) {
-  expect_tag(in, "vector");
-  long long size = -1;
-  if (!(in >> size) || size < 0) malformed("vector size");
-  if (static_cast<std::uint64_t>(size) > kMaxLoadElements) malformed("absurd vector size");
-  Vector v(static_cast<std::size_t>(size));
-  for (double& x : v) {
-    if (!(in >> x)) malformed("vector values (truncated?)");
-  }
-  return v;
-}
-
-void save_matrix_file(const Matrix& m, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open '" + path + "' for writing");
-  save_matrix(m, out);
-  if (!out) throw std::runtime_error("write to '" + path + "' failed");
-}
-
-Matrix load_matrix_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open '" + path + "' for reading");
-  return load_matrix(in);
-}
 
 void save_matrix_binary(const Matrix& m, storage::ByteWriter& out) {
   out.put_u64(m.rows());

@@ -9,13 +9,9 @@
 // the initial full survey and reused at every update with only the
 // reference columns re-measured.
 //
-// Two solvers for Z:
-//  - Ridge (default):   Z = argmin ||X0 - XR0 Z||_F^2 + rho ||Z||_F^2
-//    (closed form; what TafLocSystem uses).
-//  - NuclearNorm:       Z = argmin ||Z||_* + lambda ||X0 - XR0 Z||_F^2
-//    -- the literature's actual Low-Rank Representation objective
-//    (Liu, Lin & Yu 2010), solved by proximal gradient (ISTA) with
-//    singular-value shrinkage.  Exposed for the solver ablation.
+// Z is the closed-form ridge solution
+//
+//   Z = argmin ||X0 - XR0 Z||_F^2 + rho ||Z||_F^2.
 #pragma once
 
 #include <cstddef>
@@ -27,27 +23,21 @@ namespace tafloc {
 
 class MetricRegistry;
 
-enum class LrrSolver { Ridge, NuclearNorm };
-
 struct LrrOptions {
-  LrrSolver solver = LrrSolver::Ridge;
-  double ridge = 1e-6;           ///< Ridge solver: Tikhonov weight rho.
-  double nuclear_lambda = 20.0;  ///< NuclearNorm solver: data-fit weight.
-  std::size_t max_iterations = 300;  ///< NuclearNorm solver: ISTA cap.
-  double tolerance = 1e-6;       ///< NuclearNorm: relative change stop.
-  /// Optional metrics sink (recon.lrr.* series: fit span, fit/ISTA
-  /// iteration counters, training-residual gauge).  Not owned; nullptr
-  /// or disabled = no overhead, identical results.
+  double ridge = 1e-6;  ///< Tikhonov weight rho.
+  /// Optional metrics sink (recon.lrr.* series: fit span, fit counter,
+  /// training-residual gauge).  Not owned; nullptr or disabled = no
+  /// overhead, identical results.
   MetricRegistry* telemetry = nullptr;
 };
 
 class LrrModel {
  public:
   /// Learn Z from the initial survey `x0` (M x N) and the chosen
-  /// reference column indices (each < N) with the ridge solver.
+  /// reference column indices (each < N).
   LrrModel(const Matrix& x0, std::vector<std::size_t> reference_indices, double ridge = 1e-6);
 
-  /// Learn Z with explicit solver options.
+  /// Learn Z with explicit options.
   LrrModel(const Matrix& x0, std::vector<std::size_t> reference_indices,
            const LrrOptions& options);
 
@@ -62,18 +52,6 @@ class LrrModel {
 
   /// Training residual ||X0 - XR0 * Z||_F / ||X0||_F.
   double training_residual() const noexcept { return training_residual_; }
-
-  /// Iterations the solver used (1 for the closed-form ridge).
-  std::size_t solver_iterations() const noexcept { return solver_iterations_; }
-
-  /// Workspace arena allocations during fit: total, and those after the
-  /// first ISTA iteration (steady state).  With every buffer leased
-  /// before the loop the steady count is 0 -- the zero-allocation
-  /// verification hook for the NuclearNorm solver.
-  std::size_t workspace_allocations() const noexcept { return workspace_allocations_; }
-  std::size_t workspace_allocations_steady() const noexcept {
-    return workspace_allocations_steady_;
-  }
 
   const Matrix& correlation() const noexcept { return z_; }
   const std::vector<std::size_t>& reference_indices() const noexcept {
@@ -90,9 +68,6 @@ class LrrModel {
   std::vector<std::size_t> reference_indices_;
   Matrix z_;  ///< n x N.
   double training_residual_ = 0.0;
-  std::size_t solver_iterations_ = 1;
-  std::size_t workspace_allocations_ = 0;
-  std::size_t workspace_allocations_steady_ = 0;
 };
 
 }  // namespace tafloc

@@ -1,11 +1,6 @@
 #include "tafloc/recon/lrr.h"
 
-#include <cmath>
-
-#include "tafloc/exec/workspace.h"
 #include "tafloc/linalg/lsq.h"
-#include "tafloc/linalg/ops.h"
-#include "tafloc/linalg/svd.h"
 #include "tafloc/telemetry/metrics.h"
 #include "tafloc/telemetry/span.h"
 #include "tafloc/util/check.h"
@@ -39,85 +34,20 @@ LrrModel LrrModel::from_correlation(Matrix z, std::vector<std::size_t> reference
   model.z_ = std::move(z);
   model.reference_indices_ = std::move(reference_indices);
   model.training_residual_ = 0.0;  // unknown without the training data
-  model.solver_iterations_ = 0;
   return model;
 }
 
 void LrrModel::fit(const Matrix& x0, const LrrOptions& options) {
+  TAFLOC_CHECK_ARG(options.ridge > 0.0, "LRR ridge must be positive");
   ScopedSpan fit_span(options.telemetry, "recon.lrr.fit_seconds");
-  // Every fit-scoped buffer -- including the gathered reference block
-  // XR0 -- comes from one workspace arena, so the ISTA loop below runs
-  // allocation-free after its first iteration (the counters verify it).
-  Workspace ws(options.telemetry);
-  auto xr0_lease = ws.matrix(x0.rows(), reference_indices_.size());
-  Matrix& xr0 = *xr0_lease;
-  gather_columns_into(x0.view(), reference_indices_, xr0.view());
-
-  switch (options.solver) {
-    case LrrSolver::Ridge: {
-      TAFLOC_CHECK_ARG(options.ridge > 0.0, "LRR ridge must be positive");
-      z_ = solve_ridge_matrix(xr0, x0, options.ridge);
-      solver_iterations_ = 1;
-      break;
-    }
-    case LrrSolver::NuclearNorm: {
-      TAFLOC_CHECK_ARG(options.nuclear_lambda > 0.0, "nuclear lambda must be positive");
-      TAFLOC_CHECK_ARG(options.max_iterations > 0, "iteration cap must be positive");
-      TAFLOC_CHECK_ARG(options.tolerance > 0.0, "tolerance must be positive");
-
-      // ISTA on f(Z) = lambda ||X0 - XR0 Z||_F^2 + ||Z||_*:
-      //   Z <- shrink_{1/L}(Z - (1/L) * grad),  grad = 2 lambda XR0^T (XR0 Z - X0),
-      //   L = 2 lambda sigma_max(XR0)^2 (the Lipschitz constant of grad).
-      const SvdResult xr_svd = svd_decompose(xr0);
-      const double sigma_max = xr_svd.sigma.front();
-      TAFLOC_CHECK_ARG(sigma_max > 0.0, "reference columns are all zero");
-      const double lipschitz = 2.0 * options.nuclear_lambda * sigma_max * sigma_max;
-      const double step = 1.0 / lipschitz;
-
-      // Warm start from the ridge solution.
-      z_ = solve_ridge_matrix(xr0, x0, 1e-6);
-      const double z_scale = std::max(z_.frobenius_norm(), 1e-12);
-
-      // ISTA temporaries (residual, gradient, proximal point and the
-      // shrink destination) are leased once from the workspace arena
-      // and reused every iteration.
-      auto resid_lease = ws.matrix(x0.rows(), x0.cols());
-      auto grad_lease = ws.matrix(z_.rows(), z_.cols());
-      auto next_lease = ws.matrix(z_.rows(), z_.cols());
-      auto shrunk_lease = ws.matrix(z_.rows(), z_.cols());
-      Matrix& residual = *resid_lease;
-      Matrix& grad = *grad_lease;
-      Matrix& next = *next_lease;
-      Matrix& shrunk = *shrunk_lease;
-
-      std::size_t warmup_allocations = ws.allocations();
-      for (std::size_t it = 0; it < options.max_iterations; ++it) {
-        multiply_into(xr0, z_, residual);  // XR0 Z
-        for (std::size_t i = 0; i < residual.size(); ++i)
-          residual.data()[i] -= x0.data()[i];
-        gram_product_into(xr0, residual, grad);
-        grad *= 2.0 * options.nuclear_lambda;
-        for (std::size_t i = 0; i < next.size(); ++i)
-          next.data()[i] = z_.data()[i] - grad.data()[i] * step;
-        singular_value_shrink_into(next, step, shrunk);
-        const double change = frobenius_diff_norm(shrunk, z_) / z_scale;
-        z_ = shrunk;
-        solver_iterations_ = it + 1;
-        if (it == 0) warmup_allocations = ws.allocations();
-        if (change < options.tolerance) break;
-      }
-      workspace_allocations_steady_ = ws.allocations() - warmup_allocations;
-      break;
-    }
-  }
+  const Matrix xr0 = x0.select_columns(reference_indices_);
+  z_ = solve_ridge_matrix(xr0, x0, options.ridge);
 
   const Matrix fit_matrix = xr0 * z_;
   const double denom = x0.frobenius_norm();
   training_residual_ = denom > 0.0 ? (fit_matrix - x0).frobenius_norm() / denom : 0.0;
-  workspace_allocations_ = ws.allocations();
   if (options.telemetry != nullptr && options.telemetry->enabled()) {
     options.telemetry->counter("recon.lrr.fits").add();
-    options.telemetry->counter("recon.lrr.ista_iterations").add(solver_iterations_);
     options.telemetry->gauge("recon.lrr.training_residual").set(training_residual_);
   }
 }

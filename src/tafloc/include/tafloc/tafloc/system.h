@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -48,8 +47,9 @@ class WalWriter;
 }  // namespace storage
 
 /// Everything calibrate() (plus any later updates) learned -- enough to
-/// restore a working system in a fresh process without re-surveying.
-/// Serialized as plain text (see linalg/io.h for the matrix format).
+/// restore a working system in a fresh process without re-surveying
+/// (export_state / import_state).  Durable zones persist the same state
+/// as binary snapshots plus a WAL (attach_durability / save / recover).
 struct TafLocState {
   Matrix fingerprints;
   Vector ambient;
@@ -57,27 +57,18 @@ struct TafLocState {
   Matrix correlation;  ///< the LRR Z matrix (n x N).
   std::vector<std::size_t> reference_indices;
   Matrix mask_undistorted;
-
-  /// Stream / file round-trip; loading throws std::runtime_error on
-  /// malformed input.
-  void save(std::ostream& out) const;
-  static TafLocState load(std::istream& in);
-  void save_file(const std::string& path) const;
-  static TafLocState load_file(const std::string& path);
 };
 
+/// Not configurable: references are chosen by column-pivoted QR, the
+/// LRR fit uses LrrOptions' default ridge, the G/H pair terms cover the
+/// learned distorted support only, and KNN queries use the int8
+/// pre-pass + exact re-rank (matcher.h) once the database's
+/// QuantizedTier is ready -- bit-identical to the float scan.
 struct TafLocConfig {
   std::size_t reference_count = 0;  ///< 0 = automatic (numeric rank of the survey).
-  ReferencePolicy reference_policy = ReferencePolicy::QrPivot;
   DistortionConfig distortion;
   LoliIrConfig solver;
-  double lrr_ridge = 1e-6;
   std::size_t knn_k = 3;            ///< localization matcher neighbours.
-  bool mask_pairwise = true;        ///< restrict G/H terms to the distorted support.
-  /// Serve KNN queries through the int8 pre-pass + exact re-rank
-  /// (matcher.h) when the database's QuantizedTier is ready.  Results
-  /// are provably identical either way; this only trades scan speed.
-  bool quantized_scan = true;
   /// Initial re-rank candidate budget as a multiple of knn_k (see
   /// KnnMatcher::set_rerank_multiplier).  Speed knob only.
   std::size_t knn_rerank_alpha = 4;
@@ -226,8 +217,8 @@ class TafLocSystem : public Localizer {
   bool calibrated() const noexcept { return database_.has_value(); }
 
   /// True when localize() currently serves through the quantized
-  /// pre-pass (quantized_scan enabled, calibrated, and the database's
-  /// int8 tier is ready).  Surfaced in zone status / taflocctl.
+  /// pre-pass (calibrated, and the database's int8 tier is ready).
+  /// Surfaced in zone status / taflocctl.
   bool quantized_tier_active() const noexcept;
 
   /// Chosen reference grid indices (available after calibration).

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
-#include <fstream>
-#include <istream>
-#include <ostream>
 #include <stdexcept>
 #include <utility>
 
@@ -24,61 +21,8 @@
 namespace tafloc {
 
 namespace {
-constexpr const char* kStateHeader = "tafloc-state-v1";
 constexpr std::uint32_t kZonePayloadVersion = 1;
 }  // namespace
-
-void TafLocState::save(std::ostream& out) const {
-  out << kStateHeader << '\n';
-  out << "surveyed_at " << surveyed_at_days << '\n';
-  save_matrix(fingerprints, out);
-  save_vector(ambient, out);
-  save_matrix(correlation, out);
-  out << "references " << reference_indices.size() << '\n';
-  for (std::size_t i = 0; i < reference_indices.size(); ++i) {
-    if (i > 0) out << ' ';
-    out << reference_indices[i];
-  }
-  out << '\n';
-  save_matrix(mask_undistorted, out);
-}
-
-TafLocState TafLocState::load(std::istream& in) {
-  const auto fail = [](const std::string& what) -> void {
-    throw std::runtime_error("TafLocState::load: malformed input: " + what);
-  };
-  std::string token;
-  if (!(in >> token) || token != kStateHeader) fail("missing header");
-  TafLocState state;
-  if (!(in >> token) || token != "surveyed_at") fail("missing surveyed_at");
-  if (!(in >> state.surveyed_at_days) || state.surveyed_at_days < 0.0)
-    fail("bad surveyed_at value");
-  state.fingerprints = load_matrix(in);
-  state.ambient = load_vector(in);
-  state.correlation = load_matrix(in);
-  if (!(in >> token) || token != "references") fail("missing references");
-  long long count = -1;
-  if (!(in >> count) || count <= 0) fail("bad reference count");
-  state.reference_indices.resize(static_cast<std::size_t>(count));
-  for (std::size_t& idx : state.reference_indices) {
-    if (!(in >> idx)) fail("truncated reference indices");
-  }
-  state.mask_undistorted = load_matrix(in);
-  return state;
-}
-
-void TafLocState::save_file(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open '" + path + "' for writing");
-  save(out);
-  if (!out) throw std::runtime_error("write to '" + path + "' failed");
-}
-
-TafLocState TafLocState::load_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open '" + path + "' for reading");
-  return load(in);
-}
 
 TafLocSystem::TafLocSystem(const Deployment& deployment, const TafLocConfig& config)
     : deployment_(deployment),
@@ -143,7 +87,7 @@ TafLocSystem::TafLocSystem(TafLocSystem&& other) noexcept
     matcher_->attach_link_health(&database_->link_health());
     // Same re-point for the quantized tier (it also lives inline in the
     // optional database, so the move relocated it).
-    if (config_.quantized_scan) matcher_->attach_quantized_tier(&database_->quantized_tier());
+    matcher_->attach_quantized_tier(&database_->quantized_tier());
   }
 }
 
@@ -170,18 +114,16 @@ void TafLocSystem::calibrate(const Matrix& full_survey, Vector ambient, double t
   if (count == 0) count = suggest_reference_count(full_survey);
   count = std::min(count, full_survey.cols());
   reference_indices_ =
-      select_reference_locations(full_survey, count, config_.reference_policy, nullptr);
+      select_reference_locations(full_survey, count, ReferencePolicy::QrPivot, nullptr);
 
   // LRR correlation matrix from the initial survey.
   LrrOptions lrr_options;
-  lrr_options.ridge = config_.lrr_ridge;
   lrr_options.telemetry = telemetry_.get();
   lrr_.emplace(full_survey, reference_indices_, lrr_options);
 
   // Property-iii pair sets, fixed by the learned distortion structure.
-  const DistortionMask* mask_ptr = config_.mask_pairwise ? &*mask_ : nullptr;
-  continuity_ = continuity_pairs(deployment_, mask_ptr);
-  similarity_ = similarity_pairs(deployment_, mask_ptr);
+  continuity_ = continuity_pairs(deployment_, &*mask_);
+  similarity_ = similarity_pairs(deployment_, &*mask_);
 
   database_.emplace(full_survey, std::move(ambient), t_days);
   rebuild_matcher();
@@ -472,9 +414,8 @@ void TafLocSystem::import_state(const TafLocState& state) {
   reference_indices_ = state.reference_indices;
   lrr_.emplace(LrrModel::from_correlation(state.correlation, state.reference_indices));
 
-  const DistortionMask* mask_ptr = config_.mask_pairwise ? &*mask_ : nullptr;
-  continuity_ = continuity_pairs(deployment_, mask_ptr);
-  similarity_ = similarity_pairs(deployment_, mask_ptr);
+  continuity_ = continuity_pairs(deployment_, &*mask_);
+  similarity_ = similarity_pairs(deployment_, &*mask_);
 
   database_.emplace(state.fingerprints, state.ambient, state.surveyed_at_days);
   rebuild_matcher();
@@ -498,10 +439,8 @@ void TafLocSystem::rebuild_matcher() {
   // update()/emplace() that triggered this rebuild, so attaching it
   // here keeps the two consistent at every point a query can observe.
   // Results are provably unchanged (see matcher.h); only speed differs.
-  if (config_.quantized_scan) {
-    matcher_->attach_quantized_tier(&database_->quantized_tier());
-    matcher_->set_rerank_multiplier(config_.knn_rerank_alpha);
-  }
+  matcher_->attach_quantized_tier(&database_->quantized_tier());
+  matcher_->set_rerank_multiplier(config_.knn_rerank_alpha);
   if (telemetry_->enabled())
     telemetry_->gauge("fingerprint.quantized_tier").set(quantized_tier_active() ? 1.0 : 0.0);
 }

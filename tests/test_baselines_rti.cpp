@@ -207,62 +207,6 @@ TEST_F(RtiTest, MultiTargetRejectsBadArguments) {
   EXPECT_THROW(rti.localize_multi(y, 2, 1.0), std::invalid_argument);
 }
 
-TEST_F(RtiTest, IterativeBackendMatchesDirectImage) {
-  RtiConfig direct_cfg;
-  RtiConfig iter_cfg;
-  iter_cfg.solver = RtiSolver::Iterative;
-  const RtiLocalizer direct(scenario_.deployment(), ambient_, direct_cfg);
-  const RtiLocalizer iterative(scenario_.deployment(), ambient_, iter_cfg);
-
-  const Point2 target = scenario_.deployment().grid().center(40);
-  const Vector y = scenario_.collector().observe(target, 0.0, rng_);
-  const Vector img_d = direct.image(y);
-  const Vector img_i = iterative.image(y);
-  ASSERT_EQ(img_d.size(), img_i.size());
-  double worst = 0.0;
-  for (std::size_t j = 0; j < img_d.size(); ++j)
-    worst = std::max(worst, std::abs(img_d[j] - img_i[j]));
-  EXPECT_LT(worst, 1e-5);
-}
-
-TEST_F(RtiTest, IterativeBackendLocalizesSameTargets) {
-  RtiConfig iter_cfg;
-  iter_cfg.solver = RtiSolver::Iterative;
-  const RtiLocalizer direct(scenario_.deployment(), ambient_);
-  const RtiLocalizer iterative(scenario_.deployment(), ambient_, iter_cfg);
-  for (std::size_t j : {10u, 50u, 90u}) {
-    const Point2 target = scenario_.deployment().grid().center(j);
-    const Vector y = scenario_.collector().observe(target, 0.0, rng_);
-    EXPECT_LT(distance(direct.localize(y), iterative.localize(y)), 0.05);
-  }
-}
-
-TEST_F(RtiTest, IterativeBackendHasNoDenseModel) {
-  RtiConfig cfg;
-  cfg.solver = RtiSolver::Iterative;
-  const RtiLocalizer rti(scenario_.deployment(), ambient_, cfg);
-  EXPECT_THROW(rti.weight_model(), std::logic_error);
-  EXPECT_GT(rti.sparse_weight_model().nnz(), 0u);
-}
-
-TEST(RtiLargeArea, IterativeBackendScalesToBigGrids) {
-  // 18 m x 18 m = 900 cells: the iterative backend must build fast and
-  // localize sensibly (the dense backend would factor a 900x900 matrix).
-  const Scenario s = Scenario::square_area(18.0, 8);
-  Rng rng(8);
-  const Vector ambient = s.collector().ambient_scan(0.0, rng);
-  RtiConfig cfg;
-  cfg.solver = RtiSolver::Iterative;
-  const RtiLocalizer rti(s.deployment(), ambient, cfg);
-  double total = 0.0;
-  const std::vector<Point2> targets{{4.0, 5.0}, {12.5, 9.3}, {9.0, 15.0}};
-  for (const Point2& target : targets) {
-    const Vector y = s.collector().observe(target, 0.0, rng);
-    total += distance(rti.localize(y), target);
-  }
-  EXPECT_LT(total / 3.0, 3.5);
-}
-
 TEST_F(RtiTest, NameIsRti) {
   const RtiLocalizer rti(scenario_.deployment(), ambient_);
   EXPECT_EQ(rti.name(), "RTI");

@@ -144,20 +144,6 @@ TEST(ExecDeterminism, SvtAgreesAcrossThreadCounts) {
   EXPECT_LE(max_abs_diff(r1.x, r8.x), 1e-12);
 }
 
-TEST(ExecDeterminism, LrrNuclearNormAgreesAcrossThreadCounts) {
-  const Matrix x0 = random_matrix(16, 40, 41);
-  const std::vector<std::size_t> refs = {0, 5, 11, 17, 23, 31};
-  LrrOptions opt;
-  opt.solver = LrrSolver::NuclearNorm;
-  opt.max_iterations = 60;
-
-  const Matrix z1 =
-      at_threads(1, [&] { return LrrModel(x0, refs, opt).correlation(); });
-  const Matrix z8 =
-      at_threads(8, [&] { return LrrModel(x0, refs, opt).correlation(); });
-  EXPECT_LE(max_abs_diff(z1, z8), 1e-12);
-}
-
 /// A ready-to-solve LoLi-IR instance from the simulated paper room
 /// (assembled the same way TafLocSystem does it).
 LoliIrProblem paper_room_problem(std::uint64_t seed, double t_days) {
@@ -209,20 +195,6 @@ TEST(ExecDeterminism, LoliIrSteadyStateIsAllocationFree) {
   EXPECT_GT(res.workspace_allocations, 0u);
   EXPECT_EQ(res.workspace_allocations_steady, 0u)
       << "iterations after warm-up must reuse every workspace buffer";
-}
-
-TEST(ExecDeterminism, LrrIstaSteadyStateIsAllocationFree) {
-  const Matrix x0 = random_matrix(16, 40, 42);
-  const std::vector<std::size_t> refs = {0, 5, 11, 17, 23, 31};
-  LrrOptions opt;
-  opt.solver = LrrSolver::NuclearNorm;
-  opt.max_iterations = 60;
-  const LrrModel model(x0, refs, opt);
-  ASSERT_GE(model.solver_iterations(), 2u)
-      << "fixture must iterate at least twice to exercise the steady state";
-  EXPECT_GT(model.workspace_allocations(), 0u);
-  EXPECT_EQ(model.workspace_allocations_steady(), 0u)
-      << "ISTA iterations after warm-up must reuse every workspace buffer";
 }
 
 // ---------------- telemetry neutrality ----------------

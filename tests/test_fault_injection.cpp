@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "tafloc/linalg/cholesky.h"
-#include "tafloc/linalg/lu.h"
 #include "tafloc/linalg/ops.h"
 #include "tafloc/linalg/svd.h"
 #include "tafloc/loc/matcher.h"
@@ -45,11 +44,6 @@ TEST(FaultInjection, CholeskyOfNanMatrixThrows) {
   Matrix a = Matrix::identity(3);
   a(1, 1) = kNan;
   EXPECT_THROW(cholesky_factor(a), std::invalid_argument);
-}
-
-TEST(FaultInjection, LuOfAllNanThrows) {
-  Matrix a(2, 2, kNan);
-  EXPECT_THROW(LuDecomposition{a}, std::invalid_argument);
 }
 
 TEST(FaultInjection, MatchersRejectNanObservations) {

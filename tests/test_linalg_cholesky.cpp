@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "tafloc/linalg/cholesky.h"
-#include "tafloc/linalg/lu.h"
 #include "tafloc/linalg/ops.h"
 #include "tafloc/linalg/vector_ops.h"
 #include "tafloc/util/rng.h"
@@ -18,8 +17,6 @@ Matrix random_spd(std::size_t n, Rng& rng) {
   for (std::size_t i = 0; i < n; ++i) a(i, i) += 0.1;
   return a;
 }
-
-// ---------------- Cholesky ----------------
 
 TEST(Cholesky, FactorReconstructs) {
   Rng rng(1);
@@ -84,81 +81,6 @@ TEST(Cholesky, RejectsWrongRhsLength) {
 TEST(Cholesky, IdentityFactorsToItself) {
   const Matrix id = Matrix::identity(4);
   EXPECT_LT(max_abs_diff(cholesky_factor(id), id), 1e-12);
-}
-
-// ---------------- LU ----------------
-
-TEST(Lu, SolveRecoversSolution) {
-  Rng rng(6);
-  const Matrix a = random_gaussian(7, 7, rng);
-  Vector x_true(7);
-  for (double& v : x_true) v = rng.normal();
-  const Vector b = multiply(a, x_true);
-  const Vector x = LuDecomposition(a).solve(b);
-  EXPECT_LT(distance2(x, x_true), 1e-8);
-}
-
-TEST(Lu, SolveLinearConvenience) {
-  const Matrix a = Matrix::from_rows({{2.0, 1.0}, {1.0, 3.0}});
-  const std::vector<double> b{5.0, 10.0};
-  const Vector x = solve_linear(a, b);
-  EXPECT_NEAR(x[0], 1.0, 1e-12);
-  EXPECT_NEAR(x[1], 3.0, 1e-12);
-}
-
-TEST(Lu, DeterminantKnown) {
-  const Matrix a = Matrix::from_rows({{1.0, 2.0}, {3.0, 4.0}});
-  EXPECT_NEAR(LuDecomposition(a).determinant(), -2.0, 1e-12);
-}
-
-TEST(Lu, DeterminantOfIdentity) {
-  EXPECT_NEAR(LuDecomposition(Matrix::identity(5)).determinant(), 1.0, 1e-12);
-}
-
-TEST(Lu, DeterminantSignUnderRowSwapNeed) {
-  // Requires pivoting (zero leading element); det([[0,1],[1,0]]) = -1.
-  const Matrix a = Matrix::from_rows({{0.0, 1.0}, {1.0, 0.0}});
-  EXPECT_NEAR(LuDecomposition(a).determinant(), -1.0, 1e-12);
-}
-
-TEST(Lu, InverseTimesMatrixIsIdentity) {
-  Rng rng(7);
-  const Matrix a = random_gaussian(6, 6, rng);
-  const Matrix inv = LuDecomposition(a).inverse();
-  EXPECT_LT(max_abs_diff(a * inv, Matrix::identity(6)), 1e-8);
-  EXPECT_LT(max_abs_diff(inv * a, Matrix::identity(6)), 1e-8);
-}
-
-TEST(Lu, SolveMatrixMultipleRhs) {
-  Rng rng(8);
-  const Matrix a = random_gaussian(5, 5, rng);
-  const Matrix x_true = random_gaussian(5, 4, rng);
-  const Matrix b = a * x_true;
-  EXPECT_LT(max_abs_diff(LuDecomposition(a).solve_matrix(b), x_true), 1e-8);
-}
-
-TEST(Lu, RejectsSingular) {
-  const Matrix a = Matrix::from_rows({{1.0, 2.0}, {2.0, 4.0}});
-  EXPECT_THROW(LuDecomposition{a}, std::domain_error);
-}
-
-TEST(Lu, RejectsNonSquare) {
-  const Matrix a(2, 3);
-  EXPECT_THROW(LuDecomposition{a}, std::invalid_argument);
-}
-
-TEST(Lu, AgreesWithCholeskyOnSpd) {
-  Rng rng(9);
-  const Matrix a = random_spd(6, rng);
-  Vector b(6);
-  for (double& v : b) v = rng.normal();
-  const Vector x_lu = LuDecomposition(a).solve(b);
-  const Vector x_chol = solve_spd(a, b);
-  EXPECT_LT(distance2(x_lu, x_chol), 1e-8);
-}
-
-TEST(Lu, DimensionAccessor) {
-  EXPECT_EQ(LuDecomposition(Matrix::identity(3)).dimension(), 3u);
 }
 
 }  // namespace

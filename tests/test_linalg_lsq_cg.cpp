@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "tafloc/linalg/cg.h"
@@ -128,6 +129,18 @@ TEST(ResidualNorm, KnownValue) {
 
 // ---------------- conjugate gradient ----------------
 
+/// The in-place solver's apply-callback for a dense matrix.
+LinearOperatorInto matvec(const Matrix& a) {
+  return [&a](std::span<const double> x, std::span<double> out) {
+    const Vector ax = multiply(a, x);
+    std::copy(ax.begin(), ax.end(), out.begin());
+  };
+}
+
+const LinearOperatorInto kIdentity = [](std::span<const double> x, std::span<double> out) {
+  std::copy(x.begin(), x.end(), out.begin());
+};
+
 TEST(Cg, SolvesSpdSystem) {
   Rng rng(7);
   const Matrix g = random_gaussian(10, 6, rng);
@@ -136,11 +149,11 @@ TEST(Cg, SolvesSpdSystem) {
   Vector x_true(6);
   for (double& v : x_true) v = rng.normal();
   const Vector b = multiply(a, x_true);
-  const Vector x0(6, 0.0);
-  const CgResult res =
-      conjugate_gradient([&](const Vector& v) { return multiply(a, v); }, b, x0);
+  Vector x(6, 0.0);
+  CgScratch scratch;
+  const CgSummary res = conjugate_gradient_in_place(matvec(a), b, x, scratch);
   EXPECT_TRUE(res.converged);
-  EXPECT_LT(distance2(res.x, x_true), 1e-6);
+  EXPECT_LT(distance2(x, x_true), 1e-6);
 }
 
 TEST(Cg, ConvergesInAtMostNIterationsForExactArithmetic) {
@@ -150,26 +163,28 @@ TEST(Cg, ConvergesInAtMostNIterationsForExactArithmetic) {
   for (std::size_t i = 0; i < 5; ++i) a(i, i) += 1.0;
   Vector b(5);
   for (double& v : b) v = rng.normal();
-  const Vector x0(5, 0.0);
-  const CgResult res =
-      conjugate_gradient([&](const Vector& v) { return multiply(a, v); }, b, x0);
+  Vector x(5, 0.0);
+  CgScratch scratch;
+  const CgSummary res = conjugate_gradient_in_place(matvec(a), b, x, scratch);
   EXPECT_TRUE(res.converged);
   EXPECT_LE(res.iterations, 5u + 2u);
 }
 
 TEST(Cg, IdentityOperatorConvergesImmediately) {
   const std::vector<double> b{1.0, 2.0, 3.0};
-  const std::vector<double> x0{0.0, 0.0, 0.0};
-  const CgResult res = conjugate_gradient([](const Vector& v) { return v; }, b, x0);
+  Vector x{0.0, 0.0, 0.0};
+  CgScratch scratch;
+  const CgSummary res = conjugate_gradient_in_place(kIdentity, b, x, scratch);
   EXPECT_TRUE(res.converged);
   EXPECT_LE(res.iterations, 1u);
-  EXPECT_LT(distance2(res.x, b), 1e-10);
+  EXPECT_LT(distance2(x, b), 1e-10);
 }
 
 TEST(Cg, WarmStartAtSolutionTakesZeroIterations) {
   const std::vector<double> b{2.0, 4.0};
-  const CgResult res =
-      conjugate_gradient([](const Vector& v) { return v; }, b, b, CgOptions{});
+  Vector x(b.begin(), b.end());
+  CgScratch scratch;
+  const CgSummary res = conjugate_gradient_in_place(kIdentity, b, x, scratch, CgOptions{});
   EXPECT_TRUE(res.converged);
   EXPECT_EQ(res.iterations, 0u);
 }
@@ -178,19 +193,20 @@ TEST(Cg, DiagonalSystem) {
   const std::vector<double> diag{1.0, 10.0, 100.0};
   const Matrix a = Matrix::diagonal(diag);
   const std::vector<double> b{1.0, 10.0, 100.0};
-  const std::vector<double> x0{0.0, 0.0, 0.0};
-  const CgResult res =
-      conjugate_gradient([&](const Vector& v) { return multiply(a, v); }, b, x0);
+  Vector x{0.0, 0.0, 0.0};
+  CgScratch scratch;
+  const CgSummary res = conjugate_gradient_in_place(matvec(a), b, x, scratch);
   EXPECT_TRUE(res.converged);
-  for (double v : res.x) EXPECT_NEAR(v, 1.0, 1e-7);
+  for (double v : x) EXPECT_NEAR(v, 1.0, 1e-7);
 }
 
 TEST(Cg, ZeroRhsGivesZeroSolution) {
   const std::vector<double> b{0.0, 0.0};
-  const std::vector<double> x0{0.0, 0.0};
-  const CgResult res = conjugate_gradient([](const Vector& v) { return v; }, b, x0);
+  Vector x{0.0, 0.0};
+  CgScratch scratch;
+  const CgSummary res = conjugate_gradient_in_place(kIdentity, b, x, scratch);
   EXPECT_TRUE(res.converged);
-  EXPECT_DOUBLE_EQ(norm2(res.x), 0.0);
+  EXPECT_DOUBLE_EQ(norm2(x), 0.0);
 }
 
 TEST(Cg, IterationCapReported) {
@@ -200,23 +216,24 @@ TEST(Cg, IterationCapReported) {
   for (std::size_t i = 0; i < 20; ++i) a(i, i) += 1e-4;
   Vector b(20);
   for (double& v : b) v = rng.normal();
-  const Vector x0(20, 0.0);
+  Vector x(20, 0.0);
+  CgScratch scratch;
   CgOptions opts;
   opts.max_iterations = 2;  // deliberately too few
   opts.relative_tolerance = 1e-14;
-  const CgResult res =
-      conjugate_gradient([&](const Vector& v) { return multiply(a, v); }, b, x0, opts);
+  const CgSummary res = conjugate_gradient_in_place(matvec(a), b, x, scratch, opts);
   EXPECT_FALSE(res.converged);
   EXPECT_EQ(res.iterations, 2u);
 }
 
 TEST(Cg, RejectsBadArguments) {
+  CgScratch scratch;
   const std::vector<double> b{1.0};
-  const std::vector<double> x0_bad{1.0, 2.0};
-  EXPECT_THROW(conjugate_gradient([](const Vector& v) { return v; }, b, x0_bad),
+  Vector x_bad{1.0, 2.0};
+  EXPECT_THROW(conjugate_gradient_in_place(kIdentity, b, x_bad, scratch),
                std::invalid_argument);
-  const std::vector<double> empty;
-  EXPECT_THROW(conjugate_gradient([](const Vector& v) { return v; }, empty, empty),
+  Vector empty;
+  EXPECT_THROW(conjugate_gradient_in_place(kIdentity, empty, empty, scratch),
                std::invalid_argument);
 }
 

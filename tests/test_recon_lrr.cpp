@@ -4,7 +4,6 @@
 
 #include "tafloc/fingerprint/reference.h"
 #include "tafloc/linalg/ops.h"
-#include "tafloc/linalg/svd.h"
 #include "tafloc/sim/scenario.h"
 
 namespace tafloc {
@@ -101,70 +100,6 @@ TEST(Lrr, PredictRejectsWrongColumnCount) {
   const LrrModel lrr(x0, {1, 2});
   const Matrix wrong(4, 3, 0.0);
   EXPECT_THROW(lrr.predict(wrong), std::invalid_argument);
-}
-
-TEST(LrrNuclear, FitsLowRankDataExactly) {
-  Rng rng(20);
-  const Matrix x0 = random_low_rank(8, 30, 3, rng);
-  const auto refs = select_reference_locations(x0, 3, ReferencePolicy::QrPivot);
-  LrrOptions opts;
-  opts.solver = LrrSolver::NuclearNorm;
-  const LrrModel lrr(x0, refs, opts);
-  EXPECT_LT(lrr.training_residual(), 0.05);
-  EXPECT_GE(lrr.solver_iterations(), 1u);
-}
-
-TEST(LrrNuclear, CorrelationHasLowerNuclearNormThanRidge) {
-  // The whole point of the nuclear-norm objective: trade a little fit
-  // for a lower-rank correlation matrix.
-  const Scenario s = Scenario::paper_room(21);
-  Rng rng(21);
-  const Matrix x0 = s.collector().survey_all(0.0, rng);
-  const auto refs = select_reference_locations(x0, 10, ReferencePolicy::QrPivot);
-
-  const LrrModel ridge(x0, refs);
-  LrrOptions opts;
-  opts.solver = LrrSolver::NuclearNorm;
-  opts.nuclear_lambda = 2.0;  // strong shrinkage for a clear effect
-  const LrrModel nuclear(x0, refs, opts);
-
-  const double ridge_norm = svd_decompose(ridge.correlation()).nuclear_norm();
-  const double nuclear_norm = svd_decompose(nuclear.correlation()).nuclear_norm();
-  EXPECT_LT(nuclear_norm, ridge_norm + 1e-9);
-}
-
-TEST(LrrNuclear, PredictionQualityComparableToRidge) {
-  const Scenario s = Scenario::paper_room(22);
-  Rng rng(22);
-  const Matrix x0 = s.collector().survey_all(0.0, rng);
-  const auto refs = select_reference_locations(x0, 10, ReferencePolicy::QrPivot);
-
-  const LrrModel ridge(x0, refs);
-  LrrOptions opts;
-  opts.solver = LrrSolver::NuclearNorm;
-  const LrrModel nuclear(x0, refs, opts);
-
-  const double t = 45.0;
-  const Matrix truth = s.collector().ground_truth(t);
-  const Matrix fresh = s.collector().survey_grids(refs, t, rng);
-  const Matrix pred_ridge = ridge.predict(fresh);
-  const Matrix pred_nuclear = nuclear.predict(fresh);
-  const double err_ridge = max_abs_diff(pred_ridge, truth);
-  const double err_nuclear = max_abs_diff(pred_nuclear, truth);
-  EXPECT_LT(err_nuclear, err_ridge * 1.5 + 2.0);
-}
-
-TEST(LrrNuclear, RejectsBadOptions) {
-  Rng rng(23);
-  const Matrix x0 = random_gaussian(4, 10, rng);
-  LrrOptions opts;
-  opts.solver = LrrSolver::NuclearNorm;
-  opts.nuclear_lambda = 0.0;
-  EXPECT_THROW(LrrModel(x0, {0, 1}, opts), std::invalid_argument);
-  opts = LrrOptions{};
-  opts.solver = LrrSolver::NuclearNorm;
-  opts.max_iterations = 0;
-  EXPECT_THROW(LrrModel(x0, {0, 1}, opts), std::invalid_argument);
 }
 
 TEST(Lrr, MoreReferencesNeverHurtTraining) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "tafloc/loc/matcher.h"
 #include "tafloc/recon/error.h"
 #include "tafloc/sim/scenario.h"
 
@@ -151,40 +154,15 @@ TEST_F(TafLocSystemTest, StateExportImportRoundTrip) {
   }
 }
 
-TEST_F(TafLocSystemTest, StateSerializationRoundTrip) {
+TEST_F(TafLocSystemTest, UpdateAfterImport) {
   TafLocSystem original = calibrated_system();
-  const TafLocState state = original.export_state();
-  std::stringstream ss;
-  state.save(ss);
-  const TafLocState loaded = TafLocState::load(ss);
-  EXPECT_EQ(loaded.fingerprints, state.fingerprints);
-  EXPECT_EQ(loaded.ambient, state.ambient);
-  EXPECT_EQ(loaded.correlation, state.correlation);
-  EXPECT_EQ(loaded.reference_indices, state.reference_indices);
-  EXPECT_EQ(loaded.mask_undistorted, state.mask_undistorted);
-  EXPECT_DOUBLE_EQ(loaded.surveyed_at_days, state.surveyed_at_days);
-}
-
-TEST_F(TafLocSystemTest, StateFileRoundTripAndUpdateAfterImport) {
-  TafLocSystem original = calibrated_system();
-  const std::string path = std::string(::testing::TempDir()) + "tafloc_state_test.txt";
-  original.export_state().save_file(path);
-
   TafLocSystem restored(scenario_.deployment());
-  restored.import_state(TafLocState::load_file(path));
-  std::remove(path.c_str());
+  restored.import_state(original.export_state());
 
   // The restored system must be able to run the low-cost update cycle.
   const auto report = restored.update_with_collector(scenario_.collector(), 45.0, rng_);
   EXPECT_GT(report.solver.outer_iterations, 0u);
   EXPECT_DOUBLE_EQ(restored.database().surveyed_at_days(), 45.0);
-}
-
-TEST_F(TafLocSystemTest, StateLoadRejectsMalformedInput) {
-  std::stringstream empty;
-  EXPECT_THROW(TafLocState::load(empty), std::runtime_error);
-  std::stringstream bad_header("not-a-state 1 2 3");
-  EXPECT_THROW(TafLocState::load(bad_header), std::runtime_error);
 }
 
 TEST_F(TafLocSystemTest, ImportStateValidatesShapes) {
@@ -208,41 +186,37 @@ TEST_F(TafLocSystemTest, SuccessiveUpdatesAdvanceTime) {
 }
 
 TEST_F(TafLocSystemTest, QuantizedScanIsBitIdenticalToFloatScan) {
-  // quantized_scan defaults on; a system with it disabled must produce
+  // The system always serves through the int8 tier; a tier-less
+  // KnnMatcher over the same fingerprints, k and link health must give
   // the SAME bits for every estimate -- the tier is a pure accelerator.
-  // Both systems calibrate from ONE survey so any divergence is the
-  // scan path's fault, not sampling noise.
-  const Matrix x0 = scenario_.collector().survey_all(0.0, rng_);
-  const Vector ambient = scenario_.collector().ambient_scan(0.0, rng_);
-  TafLocSystem quantized(scenario_.deployment());
-  quantized.calibrate(x0, Vector(ambient), 0.0);
-  TafLocConfig cfg;
-  cfg.quantized_scan = false;
-  TafLocSystem plain(scenario_.deployment(), cfg);
-  plain.calibrate(x0, Vector(ambient), 0.0);
-  EXPECT_TRUE(quantized.quantized_tier_active());
-  EXPECT_FALSE(plain.quantized_tier_active());
+  TafLocSystem system = calibrated_system();
+  EXPECT_TRUE(system.quantized_tier_active());
+  const auto float_scan = [&] {
+    KnnMatcher matcher(system.database().fingerprints_view(), scenario_.deployment().grid(),
+                       std::min(system.config().knn_k, scenario_.deployment().num_grids()),
+                       /*weighted=*/true);
+    matcher.attach_link_health(&system.link_health());
+    return matcher;
+  };
 
   Rng probe_rng(909);
-  auto compare_everywhere = [&](double t) {
+  auto compare_everywhere = [&](const KnnMatcher& plain, double t) {
     for (std::size_t j : {0u, 11u, 44u, 77u, 95u}) {
       const Point2 target = scenario_.deployment().grid().center(j);
       const Vector y = scenario_.collector().observe(target, t, probe_rng);
-      const Point2 a = quantized.localize(y);
+      const Point2 a = system.localize(y);
       const Point2 b = plain.localize(y);
       EXPECT_EQ(a.x, b.x) << "t=" << t << " j=" << j;
       EXPECT_EQ(a.y, b.y) << "t=" << t << " j=" << j;
     }
   };
-  compare_everywhere(0.0);
+  compare_everywhere(float_scan(), 0.0);
 
   // Tier survives an update (database rebuild) with identity intact.
   Rng upd_rng(910);
-  quantized.update_with_collector(scenario_.collector(), 45.0, upd_rng);
-  Rng upd_rng2(910);
-  plain.update_with_collector(scenario_.collector(), 45.0, upd_rng2);
-  EXPECT_TRUE(quantized.quantized_tier_active());
-  compare_everywhere(45.0);
+  system.update_with_collector(scenario_.collector(), 45.0, upd_rng);
+  EXPECT_TRUE(system.quantized_tier_active());
+  compare_everywhere(float_scan(), 45.0);
 }
 
 }  // namespace
