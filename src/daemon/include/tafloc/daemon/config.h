@@ -27,9 +27,12 @@
 //   ingest_max_pending_rounds = 64  # open merge rounds before expiry
 //
 // Parsing is strict: unknown keys, duplicate zone names, a missing
-// socket path, or an unparsable number all throw std::runtime_error
-// with the offending line number -- a daemon must refuse a config it
-// does not fully understand rather than half-apply it.
+// socket path, an unparsable number, or a value out of range all throw
+// std::runtime_error with the offending line number -- a daemon must
+// refuse a config it does not fully understand rather than half-apply
+// it.  trace_ring_capacity and slow_log_capacity are capped at
+// kMaxTraceEntries (65536), and slow_query_ms and slo_deadline_ms at
+// kMaxLatencyThresholdMs (one day); see telemetry/trace.h.
 #pragma once
 
 #include <cstdint>

@@ -6,6 +6,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "tafloc/telemetry/trace.h"
+
 namespace tafloc::daemon {
 
 namespace {
@@ -52,6 +54,26 @@ std::uint64_t parse_u64(const std::string& value, std::size_t line_no, const std
   } catch (const std::out_of_range&) {
     fail(line_no, key + ": out of range: '" + value + "'");
   }
+}
+
+/// A trace ring / slow log size, at most kMaxTraceEntries.
+std::uint64_t parse_trace_entries(const std::string& value, std::size_t line_no,
+                                  const std::string& key) {
+  const std::uint64_t entries = parse_u64(value, line_no, key);
+  if (entries > kMaxTraceEntries) {
+    fail(line_no, key + " must be at most " + std::to_string(kMaxTraceEntries) + ", got " + value);
+  }
+  return entries;
+}
+
+/// A per-request latency threshold in ms: 0 (off) up to
+/// kMaxLatencyThresholdMs.  Rejects NaN and infinities too.
+double parse_latency_ms(const std::string& value, std::size_t line_no, const std::string& key) {
+  const double ms = parse_double(value, line_no, key);
+  if (!(ms >= 0.0 && ms <= kMaxLatencyThresholdMs)) {
+    fail(line_no, key + " must be in [0, 86400000] (one day), got " + value);
+  }
+  return ms;
 }
 
 bool parse_bool(const std::string& value, std::size_t line_no, const std::string& key) {
@@ -120,15 +142,13 @@ DaemonConfig DaemonConfig::parse(std::istream& in) {
     } else if (key == "trace_sample_every") {
       zone->trace_sample_every = parse_u64(value, line_no, key);
     } else if (key == "trace_ring_capacity") {
-      zone->trace_ring_capacity = parse_u64(value, line_no, key);
+      zone->trace_ring_capacity = parse_trace_entries(value, line_no, key);
     } else if (key == "slow_query_ms") {
-      zone->slow_query_ms = parse_double(value, line_no, key);
-      if (zone->slow_query_ms < 0.0) fail(line_no, "slow_query_ms must be >= 0");
+      zone->slow_query_ms = parse_latency_ms(value, line_no, key);
     } else if (key == "slow_log_capacity") {
-      zone->slow_log_capacity = parse_u64(value, line_no, key);
+      zone->slow_log_capacity = parse_trace_entries(value, line_no, key);
     } else if (key == "slo_deadline_ms") {
-      zone->slo_deadline_ms = parse_double(value, line_no, key);
-      if (zone->slo_deadline_ms < 0.0) fail(line_no, "slo_deadline_ms must be >= 0");
+      zone->slo_deadline_ms = parse_latency_ms(value, line_no, key);
     } else if (key == "slo_target") {
       zone->slo_target = parse_double(value, line_no, key);
       if (zone->slo_target <= 0.0 || zone->slo_target > 1.0)

@@ -15,6 +15,34 @@ namespace tafloc::daemon {
 
 namespace {
 
+/// The contract the config parser enforces, applied to a programmatic
+/// ZoneConfig before any member is built from it.  Millisecond knobs
+/// become uint64 nanoseconds and trace capacities are allocated up
+/// front, so a negative, non-finite or oversized value would wrap into
+/// a huge deadline, overflow, or exhaust memory instead of failing.
+ZoneConfig checked(ZoneConfig config) {
+  TAFLOC_CHECK_ARG(!config.name.empty(), "zone needs a name");
+  const std::string zone = "zone '" + config.name + "': ";
+  TAFLOC_CHECK_ARG(std::isfinite(config.slo_deadline_ms) && config.slo_deadline_ms >= 0.0 &&
+                       config.slo_deadline_ms <= kMaxLatencyThresholdMs,
+                   zone + "slo_deadline_ms must be finite, >= 0 and at most one day");
+  TAFLOC_CHECK_ARG(config.slo_target > 0.0 && config.slo_target <= 1.0,
+                   zone + "slo_target must be in (0, 1]");
+  TAFLOC_CHECK_ARG(std::isfinite(config.slow_query_ms) && config.slow_query_ms >= 0.0 &&
+                       config.slow_query_ms <= kMaxLatencyThresholdMs,
+                   zone + "slow_query_ms must be finite, >= 0 and at most one day");
+  TAFLOC_CHECK_ARG(config.trace_ring_capacity <= kMaxTraceEntries,
+                   zone + "trace_ring_capacity exceeds kMaxTraceEntries");
+  TAFLOC_CHECK_ARG(config.slow_log_capacity <= kMaxTraceEntries,
+                   zone + "slow_log_capacity exceeds kMaxTraceEntries");
+  TAFLOC_CHECK_ARG(std::isfinite(config.fault_slow_ms) && config.fault_slow_ms >= 0.0,
+                   zone + "fault_slow_ms must be finite and >= 0");
+  TAFLOC_CHECK_ARG(
+      std::isfinite(config.ingest.motion_threshold_db) && config.ingest.motion_threshold_db >= 0.0,
+      zone + "motion_threshold_db must be finite and >= 0");
+  return config;
+}
+
 TafLocConfig make_system_config(const ZoneConfig& config) {
   TafLocConfig cfg;
   cfg.telemetry.enabled = config.telemetry;
@@ -80,30 +108,13 @@ bool zone_transition_legal(ZoneState from, ZoneState to) noexcept {
 }
 
 Zone::Zone(ZoneConfig config, JobQueue* jobs)
-    : config_(std::move(config)),
+    : config_(checked(std::move(config))),
       jobs_(jobs),
       scenario_(Scenario::paper_room(config_.seed)),
       system_(scenario_.deployment(), make_system_config(config_)),
       rng_(config_.seed ^ 0x5a11ull),
       tracer_(make_tracer_config(config_), &system_.telemetry()),
       assembler_(make_assembler_config(config_, scenario_)) {
-  TAFLOC_CHECK_ARG(!config_.name.empty(), "zone needs a name");
-  // Millisecond knobs get cast to unsigned nanoseconds / compared as
-  // thresholds below; a negative or non-finite value would wrap into a
-  // huge deadline (every request an SLO pass) instead of failing --
-  // reject it here so a programmatic ZoneConfig is held to the same
-  // contract the config parser enforces.
-  TAFLOC_CHECK_ARG(std::isfinite(config_.slo_deadline_ms) && config_.slo_deadline_ms >= 0.0,
-                   "zone '" + config_.name + "': slo_deadline_ms must be finite and >= 0");
-  TAFLOC_CHECK_ARG(config_.slo_target > 0.0 && config_.slo_target <= 1.0,
-                   "zone '" + config_.name + "': slo_target must be in (0, 1]");
-  TAFLOC_CHECK_ARG(std::isfinite(config_.slow_query_ms) && config_.slow_query_ms >= 0.0,
-                   "zone '" + config_.name + "': slow_query_ms must be finite and >= 0");
-  TAFLOC_CHECK_ARG(std::isfinite(config_.fault_slow_ms) && config_.fault_slow_ms >= 0.0,
-                   "zone '" + config_.name + "': fault_slow_ms must be finite and >= 0");
-  TAFLOC_CHECK_ARG(
-      std::isfinite(config_.ingest.motion_threshold_db) && config_.ingest.motion_threshold_db >= 0.0,
-      "zone '" + config_.name + "': motion_threshold_db must be finite and >= 0");
   slo_deadline_ns_ = static_cast<std::uint64_t>(config_.slo_deadline_ms * 1e6);
   MetricRegistry& reg = system_.telemetry();
   if (reg.enabled()) {

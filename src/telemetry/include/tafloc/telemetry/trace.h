@@ -89,13 +89,25 @@ struct TraceRecord {
 static_assert(std::is_trivially_copyable_v<TraceRecord>,
               "ring slots are copied under a seqlock; the record must stay POD");
 
+/// Largest trace ring or slow log, in entries.  Both are allocated and
+/// zeroed up front at about 600 bytes an entry, so this bounds each at
+/// about 40 MB.  Their constructors throw std::invalid_argument beyond it.
+inline constexpr std::size_t kMaxTraceEntries = std::size_t{1} << 16;
+
+/// Longest per-request latency threshold (the slow-query threshold, a
+/// zone's SLO deadline) accepted, in ms: one day.  Thresholds become
+/// uint64 nanoseconds, which overflow past about 1.8e13 ms; Tracer's
+/// constructor throws std::invalid_argument beyond this bound.
+inline constexpr double kMaxLatencyThresholdMs = 86'400'000.0;
+
 /// Bounded lock-free ring of completed trace records.  Single-writer
 /// wait-free push (the serving thread); concurrent readers take a
 /// best-effort snapshot, skipping any slot whose seqlock shows a write
 /// in progress.  Capacity is rounded up to a power of two.
 class TraceRing {
  public:
-  /// capacity 0 disables the ring (push becomes a no-op).
+  /// capacity 0 disables the ring (push becomes a no-op); at most
+  /// kMaxTraceEntries.
   explicit TraceRing(std::size_t capacity);
 
   void push(const TraceRecord& record) noexcept;
@@ -131,7 +143,7 @@ class TraceRing {
 /// evidence is never evicted.
 class SlowLog {
  public:
-  /// capacity 0 disables the log.
+  /// capacity 0 disables the log; at most kMaxTraceEntries.
   explicit SlowLog(std::size_t capacity);
 
   bool append(const TraceRecord& record) noexcept;
@@ -156,14 +168,16 @@ class SlowLog {
 
 struct TracerConfig {
   /// Completed sampled traces retained (rounded up to a power of two;
-  /// 0 disables the ring).
+  /// 0 disables the ring; at most kMaxTraceEntries).
   std::size_t ring_capacity = 256;
-  /// Slow-query log entries retained (0 disables the slow log).
+  /// Slow-query log entries retained (0 disables the slow log; at most
+  /// kMaxTraceEntries).
   std::size_t slow_log_capacity = 64;
   /// Periodic sampler: 0 = off, 1 = every request, N = every Nth.
   /// Client-forced TraceContext::sampled is honored regardless.
   std::uint64_t sample_every = 0;
-  /// Requests slower than this land in the slow log (0 = off).
+  /// Requests slower than this land in the slow log (<= 0 = off; must
+  /// be finite and at most kMaxLatencyThresholdMs).
   double slow_threshold_ms = 0.0;
   /// Zone attribution label for exported JSONL lines.
   std::string zone;

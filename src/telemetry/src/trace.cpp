@@ -7,6 +7,7 @@
 #include <cstring>
 
 #include "tafloc/telemetry/metrics.h"
+#include "tafloc/util/check.h"
 
 namespace tafloc {
 
@@ -34,6 +35,14 @@ std::size_t round_up_pow2(std::size_t n) {
   std::size_t p = 1;
   while (p < n) p <<= 1;
   return p;
+}
+
+/// The slow-query threshold in nanoseconds (0 = off), after checking
+/// that the conversion is defined.
+std::uint64_t slow_threshold_to_ns(double ms) {
+  TAFLOC_CHECK_ARG(std::isfinite(ms) && ms <= kMaxLatencyThresholdMs,
+                   "slow-query threshold must be finite and at most one day");
+  return ms <= 0.0 ? 0 : static_cast<std::uint64_t>(ms * 1e6);
 }
 
 /// Same escaping rules as the metrics JSONL exporter (stage names are
@@ -95,6 +104,7 @@ void TraceRecord::add_stage(const char* name, std::uint32_t depth,
 // ---------------- TraceRing ----------------
 
 TraceRing::TraceRing(std::size_t capacity) {
+  TAFLOC_CHECK_ARG(capacity <= kMaxTraceEntries, "trace ring capacity exceeds kMaxTraceEntries");
   if (capacity == 0) return;
   capacity_ = round_up_pow2(capacity);
   mask_ = capacity_ - 1;
@@ -146,6 +156,7 @@ std::vector<TraceRecord> TraceRing::snapshot(std::size_t max) const {
 // ---------------- SlowLog ----------------
 
 SlowLog::SlowLog(std::size_t capacity) : capacity_(capacity) {
+  TAFLOC_CHECK_ARG(capacity <= kMaxTraceEntries, "slow log capacity exceeds kMaxTraceEntries");
   if (capacity_ > 0) entries_ = std::make_unique<TraceRecord[]>(capacity_);
 }
 
@@ -181,9 +192,7 @@ std::vector<TraceRecord> SlowLog::entries() const {
 
 Tracer::Tracer(const TracerConfig& config, MetricRegistry* metrics)
     : config_(config),
-      slow_threshold_ns_(config.slow_threshold_ms <= 0.0
-                             ? 0
-                             : static_cast<std::uint64_t>(config.slow_threshold_ms * 1e6)),
+      slow_threshold_ns_(slow_threshold_to_ns(config.slow_threshold_ms)),
       epoch_ns_(trace_detail::steady_ns()),
       ring_(config.ring_capacity),
       slow_log_(config.slow_threshold_ms > 0.0 ? config.slow_log_capacity : 0),

@@ -4,6 +4,7 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "tafloc/daemon/config.h"
 
@@ -133,6 +134,35 @@ TEST(DaemonConfig, RejectsNegativeTimingAndSloValues) {
                std::runtime_error);
   EXPECT_THROW(parse("socket = /tmp/t.sock\n[zone a]\ningest_max_pending_rounds = 0\n"),
                std::runtime_error);
+}
+
+TEST(DaemonConfig, RejectsTraceSizesAndLatenciesBeyondTheirCaps) {
+  // Trace rings and slow logs are allocated and zeroed up front, and
+  // millisecond thresholds become uint64 nanoseconds: a huge value must
+  // fail here, with its line number, not hang or overflow a zone.
+  const auto rejected = [](const std::string& line) {
+    try {
+      parse("socket = /tmp/t.sock\n[zone a]\n" + line + "\n");
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what()).find("line 3") != std::string::npos;
+    }
+    return false;
+  };
+  EXPECT_TRUE(rejected("trace_ring_capacity = 1099511627776"));  // 2^40
+  EXPECT_TRUE(rejected("trace_ring_capacity = 65537"));
+  EXPECT_TRUE(rejected("slow_log_capacity = 1099511627776"));
+  EXPECT_TRUE(rejected("slo_deadline_ms = 1e15"));
+  EXPECT_TRUE(rejected("slow_query_ms = 1e15"));
+  EXPECT_TRUE(rejected("slo_deadline_ms = nan"));
+  EXPECT_TRUE(rejected("slow_query_ms = inf"));
+
+  const DaemonConfig at_caps = parse(
+      "socket = /tmp/t.sock\n[zone a]\ntrace_ring_capacity = 65536\n"
+      "slow_log_capacity = 65536\nslo_deadline_ms = 86400000\nslow_query_ms = 86400000\n");
+  EXPECT_EQ(at_caps.zones[0].trace_ring_capacity, 65536u);
+  EXPECT_EQ(at_caps.zones[0].slow_log_capacity, 65536u);
+  EXPECT_EQ(at_caps.zones[0].slo_deadline_ms, 86400000.0);
+  EXPECT_EQ(at_caps.zones[0].slow_query_ms, 86400000.0);
 }
 
 TEST(DaemonConfig, LoadFileMissingThrows) {

@@ -344,6 +344,30 @@ TEST(ZoneConfigValidation, NonFiniteOrNegativeTimingConfigIsRefused) {
                std::invalid_argument);
 }
 
+TEST(ZoneConfigValidation, OversizedTraceAndLatencyConfigIsRefused) {
+  // Trace capacities are allocated up front and millisecond thresholds
+  // become uint64 nanoseconds; both are checked before any member is
+  // built from them.
+  const auto with = [](auto mutate) {
+    ZoneConfig config;
+    config.name = "big";
+    config.seed = 44;
+    mutate(config);
+    return config;
+  };
+  constexpr std::uint64_t k2To40 = std::uint64_t{1} << 40;
+  EXPECT_THROW(Zone(with([](ZoneConfig& c) { c.trace_ring_capacity = k2To40; }), nullptr),
+               std::invalid_argument);
+  EXPECT_THROW(Zone(with([](ZoneConfig& c) { c.slow_log_capacity = k2To40; }), nullptr),
+               std::invalid_argument);
+  EXPECT_THROW(Zone(with([](ZoneConfig& c) { c.slo_deadline_ms = 1e15; }), nullptr),
+               std::invalid_argument);
+  EXPECT_THROW(Zone(with([](ZoneConfig& c) { c.slow_query_ms = 1e15; }), nullptr),
+               std::invalid_argument);
+  EXPECT_THROW(Zone(with([](ZoneConfig& c) { c.slow_query_ms = std::nan(""); }), nullptr),
+               std::invalid_argument);
+}
+
 TEST(ZoneLifecycle, TransitionsLandInZoneTelemetry) {
   Zone zone(zone_config("theta", 18), nullptr);
   zone.start();

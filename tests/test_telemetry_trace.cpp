@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -71,6 +73,14 @@ TEST(TraceRing, ZeroCapacityIsInert) {
   EXPECT_TRUE(ring.snapshot().empty());
 }
 
+TEST(TraceRing, RejectsCapacityBeyondTheCap) {
+  // Rounding 2^63 + 1 up to a power of two never terminated; anything
+  // past the cap (2^16 slots) is refused before allocation.
+  EXPECT_THROW(TraceRing(std::size_t{1} << 40), std::invalid_argument);
+  EXPECT_THROW(TraceRing(65537), std::invalid_argument);
+  EXPECT_THROW(SlowLog(std::size_t{1} << 40), std::invalid_argument);
+}
+
 TEST(SlowLog, AppendOnlyBoundedWithDropCounter) {
   SlowLog log(2);
   EXPECT_TRUE(log.append(make_record(0)));
@@ -93,6 +103,17 @@ TEST(Tracer, PeriodicSamplerTakesEveryNth) {
   EXPECT_FALSE(tracer.should_sample({}, 1));
   EXPECT_FALSE(tracer.should_sample({}, 2));
   EXPECT_TRUE(tracer.should_sample({}, 3));
+}
+
+TEST(Tracer, RejectsASlowThresholdBeyondOneDay) {
+  // slow_threshold_ms * 1e6 must fit a uint64 of nanoseconds.
+  TracerConfig config;
+  config.slow_threshold_ms = 1e15;
+  EXPECT_THROW(Tracer{config}, std::invalid_argument);
+  config.slow_threshold_ms = std::nan("");
+  EXPECT_THROW(Tracer{config}, std::invalid_argument);
+  config.slow_threshold_ms = 86'400'000.0;  // one day: accepted.
+  EXPECT_EQ(Tracer(config).slow_threshold_ns(), 86'400'000'000'000u);
 }
 
 TEST(Tracer, ClientForcedSamplingBeatsThePeriodicSampler) {
