@@ -53,7 +53,9 @@ class ZoneManager {
 
   /// Apply a re-parsed config: scheduler thresholds of matching zones
   /// change live; topology changes (added/removed zones) are refused.
-  /// Returns a human-readable summary.
+  /// Returns a human-readable summary.  Throws std::invalid_argument,
+  /// applying nothing, when any zone's scheduler config is one the
+  /// UpdateScheduler constructor would reject.
   std::string reload(const DaemonConfig& fresh);
 
   /// Write each zone's labeled telemetry JSONL to `dir/<zone>.jsonl`,

@@ -197,7 +197,8 @@ class Zone {
   };
   Status status() const;
 
-  /// Live-apply new scheduler thresholds (taflocctl reload).
+  /// Live-apply new scheduler thresholds (taflocctl reload).  Throws
+  /// std::invalid_argument, changing nothing, on an invalid config.
   void apply_scheduler_config(const SchedulerConfig& config);
 
   /// Called (from the worker thread) when background work finished and

@@ -64,6 +64,15 @@ void ZoneManager::drain_all() {
 }
 
 std::string ZoneManager::reload(const DaemonConfig& fresh) {
+  // All or nothing: a scheduler config that startup would refuse must
+  // not go live, not even on the zones listed before the bad one.
+  for (const ZoneConfig& zc : fresh.zones) {
+    try {
+      check_scheduler_config(zc.scheduler);
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument("reload: zone '" + zc.name + "': " + e.what());
+    }
+  }
   std::size_t applied = 0;
   std::string ignored;
   for (const ZoneConfig& zc : fresh.zones) {

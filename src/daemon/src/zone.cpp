@@ -506,6 +506,7 @@ Zone::Status Zone::status() const {
 }
 
 void Zone::apply_scheduler_config(const SchedulerConfig& config) {
+  check_scheduler_config(config);
   config_.scheduler = config;
   if (scheduler_) scheduler_->set_config(config);
 }

@@ -33,6 +33,12 @@ struct SchedulerConfig {
   double max_interval_days = 45.0;      ///< always update at least this often.
 };
 
+/// Throws std::invalid_argument unless staleness_threshold_db > 0,
+/// min_interval_days >= 0 and max_interval_days > min_interval_days
+/// (NaN fails all three).  The one rule for construction and live
+/// reconfiguration alike.
+void check_scheduler_config(const SchedulerConfig& config);
+
 class UpdateScheduler {
  public:
   /// Start from the ambient scan taken at the last (or initial) update.
@@ -75,8 +81,12 @@ class UpdateScheduler {
   const SchedulerConfig& config() const noexcept { return config_; }
   /// Live-apply new trigger thresholds (taflocd config reload); the
   /// baseline and accumulators are untouched, so the next observation
-  /// is judged against the new thresholds only.
-  void set_config(const SchedulerConfig& config) noexcept { config_ = config; }
+  /// is judged against the new thresholds only.  Throws (and keeps the
+  /// old thresholds) on a config the constructor would reject.
+  void set_config(const SchedulerConfig& config) {
+    check_scheduler_config(config);
+    config_ = config;
+  }
 
   /// Point scheduler.* metrics at `registry` (typically the owning
   /// TafLocSystem's): staleness gauge in dB, observation / trigger

@@ -11,6 +11,13 @@
 
 namespace tafloc {
 
+void check_scheduler_config(const SchedulerConfig& config) {
+  TAFLOC_CHECK_ARG(config.staleness_threshold_db > 0.0, "staleness threshold must be positive");
+  TAFLOC_CHECK_ARG(config.min_interval_days >= 0.0, "min interval must be non-negative");
+  TAFLOC_CHECK_ARG(config.max_interval_days > config.min_interval_days,
+                   "max interval must exceed min interval");
+}
+
 UpdateScheduler::UpdateScheduler(Vector ambient_at_update, double updated_at_days,
                                  const SchedulerConfig& config)
     : baseline_(std::move(ambient_at_update)),
@@ -19,10 +26,7 @@ UpdateScheduler::UpdateScheduler(Vector ambient_at_update, double updated_at_day
       config_(config) {
   TAFLOC_CHECK_ARG(!baseline_.empty(), "scheduler needs at least one link");
   TAFLOC_CHECK_ARG(updated_at_days >= 0.0, "update time must be non-negative");
-  TAFLOC_CHECK_ARG(config.staleness_threshold_db > 0.0, "staleness threshold must be positive");
-  TAFLOC_CHECK_ARG(config.min_interval_days >= 0.0, "min interval must be non-negative");
-  TAFLOC_CHECK_ARG(config.max_interval_days > config.min_interval_days,
-                   "max interval must exceed min interval");
+  check_scheduler_config(config);
 }
 
 void UpdateScheduler::attach_telemetry(MetricRegistry* registry) {

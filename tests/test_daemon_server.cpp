@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
@@ -282,6 +283,29 @@ TEST(ZoneManagerReload, AppliesSchedulerChangesAndRefusesTopology) {
   EXPECT_EQ(zones.find("office")->config().scheduler.staleness_threshold_db, 9.5);
   EXPECT_NE(summary.find("forge"), std::string::npos);  // new zone refused, reported.
   EXPECT_NE(summary.find("lab"), std::string::npos);    // removed zone reported.
+  zones.drain_all();
+}
+
+TEST(ZoneManagerReload, RefusesAnInvalidSchedulerConfigAndAppliesNothing) {
+  // Startup refuses staleness_threshold_db = 0, so a reload must too --
+  // and all or nothing: office, listed before the bad zone, keeps its
+  // old threshold.
+  DaemonConfig config = two_zone_config();
+  ZoneManager zones(config);
+  zones.start_all();
+  const double before = zones.find("office")->config().scheduler.staleness_threshold_db;
+
+  std::istringstream in(
+      "socket = /tmp/unused.sock\n"
+      "[zone office]\n"
+      "seed = 21\n"
+      "staleness_threshold_db = 9.5\n"
+      "[zone lab]\n"
+      "seed = 22\n"
+      "staleness_threshold_db = 0\n");
+  EXPECT_THROW(zones.reload(DaemonConfig::parse(in)), std::invalid_argument);
+  EXPECT_EQ(zones.find("office")->config().scheduler.staleness_threshold_db, before);
+  EXPECT_EQ(zones.find("lab")->config().scheduler.staleness_threshold_db, before);
   zones.drain_all();
 }
 

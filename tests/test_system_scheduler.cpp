@@ -75,6 +75,28 @@ TEST(UpdateScheduler, RejectsBadArguments) {
   EXPECT_THROW(sched.observe_ambient(wrong, 6.0), std::invalid_argument);
 }
 
+TEST(UpdateScheduler, SetConfigRejectsWhatTheConstructorRejects) {
+  // A live reconfiguration must not install thresholds a restart would
+  // refuse; a rejected config leaves the old one in force.
+  UpdateScheduler sched(Vector{1.0}, 0.0);
+  SchedulerConfig bad;
+  bad.staleness_threshold_db = 0.0;
+  EXPECT_THROW(sched.set_config(bad), std::invalid_argument);
+  bad = SchedulerConfig{};
+  bad.min_interval_days = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(sched.set_config(bad), std::invalid_argument);
+  bad = SchedulerConfig{};
+  bad.max_interval_days = bad.min_interval_days;
+  EXPECT_THROW(sched.set_config(bad), std::invalid_argument);
+  EXPECT_EQ(sched.config().staleness_threshold_db, SchedulerConfig{}.staleness_threshold_db);
+  EXPECT_EQ(sched.config().min_interval_days, SchedulerConfig{}.min_interval_days);
+
+  SchedulerConfig good;
+  good.staleness_threshold_db = 9.5;
+  sched.set_config(good);
+  EXPECT_EQ(sched.config().staleness_threshold_db, 9.5);
+}
+
 TEST(UpdateScheduler, DropsOutOfOrderAndUnusableSamples) {
   SchedulerConfig cfg;
   cfg.staleness_threshold_db = 3.0;
