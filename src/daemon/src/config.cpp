@@ -71,7 +71,9 @@ std::uint64_t parse_trace_entries(const std::string& value, std::size_t line_no,
 double parse_latency_ms(const std::string& value, std::size_t line_no, const std::string& key) {
   const double ms = parse_double(value, line_no, key);
   if (!(ms >= 0.0 && ms <= kMaxLatencyThresholdMs)) {
-    fail(line_no, key + " must be in [0, 86400000] (one day), got " + value);
+    fail(line_no, key + " must be in [0, " +
+                      std::to_string(static_cast<std::uint64_t>(kMaxLatencyThresholdMs)) +
+                      "] (one day), got " + value);
   }
   return ms;
 }

@@ -1,7 +1,8 @@
 // Workspace -- an arena of reusable Matrix / Vector buffers.
 //
-// Iterative solvers (LoLi-IR's CG matvecs, SVT's residual updates) need
-// the same handful of temporaries on every iteration.  Allocating them fresh each time puts the allocator on the
+// Iterative solvers (LoLi-IR's CG matvecs and SVT's residual
+// updates) need the same handful of temporaries on every
+// iteration.  Allocating them fresh each time puts the allocator on the
 // hot path and fragments the heap; a Workspace instead *leases* buffers
 // out of a pool, shrinking each allocation profile to its first
 // iteration.  Every lease is RAII: when the handle dies the buffer goes

@@ -59,9 +59,9 @@ struct TafLocState {
   Matrix mask_undistorted;
 };
 
-/// Not configurable: references are chosen by column-pivoted QR, the
-/// LRR fit uses LrrOptions' default ridge, the G/H pair terms cover the
-/// learned distorted support only, and KNN queries use the int8
+/// The system always picks references by column-pivoted QR, fits LRR
+/// with LrrOptions' default ridge, restricts the G/H pair terms to the
+/// learned distorted support, and serves KNN queries through the int8
 /// pre-pass + exact re-rank (matcher.h) once the database's
 /// QuantizedTier is ready -- bit-identical to the float scan.
 struct TafLocConfig {
