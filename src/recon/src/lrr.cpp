@@ -40,7 +40,8 @@ LrrModel LrrModel::from_correlation(Matrix z, std::vector<std::size_t> reference
 void LrrModel::fit(const Matrix& x0, const LrrOptions& options) {
   TAFLOC_CHECK_ARG(options.ridge > 0.0, "LRR ridge must be positive");
   ScopedSpan fit_span(options.telemetry, "recon.lrr.fit_seconds");
-  const Matrix xr0 = x0.select_columns(reference_indices_);
+  Matrix xr0(x0.rows(), reference_indices_.size());
+  gather_columns_into(x0.view(), reference_indices_, xr0.view());
   z_ = solve_ridge_matrix(xr0, x0, options.ridge);
 
   const Matrix fit_matrix = xr0 * z_;
