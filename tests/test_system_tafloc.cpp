@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 
 #include "tafloc/loc/matcher.h"
 #include "tafloc/recon/error.h"
@@ -163,6 +164,34 @@ TEST_F(TafLocSystemTest, UpdateAfterImport) {
   const auto report = restored.update_with_collector(scenario_.collector(), 45.0, rng_);
   EXPECT_GT(report.solver.outer_iterations, 0u);
   EXPECT_DOUBLE_EQ(restored.database().surveyed_at_days(), 45.0);
+}
+
+TEST_F(TafLocSystemTest, ImportedSystemUpdatesLikeTheOriginal) {
+  // calibrate() and import_state() must leave the same recalibration
+  // inputs behind (mask, pair sets, LRR model): one update fed the same
+  // survey columns and ambient scan lands on the same bits on both.
+  TafLocSystem original = calibrated_system();
+  TafLocSystem restored(scenario_.deployment());
+  restored.import_state(original.export_state());
+
+  const Matrix fresh =
+      scenario_.collector().survey_grids(original.reference_locations(), 45.0, rng_);
+  const Vector ambient = scenario_.collector().ambient_scan(45.0, rng_);
+  const auto a = original.update(fresh, ambient, 45.0);
+  const auto b = restored.update(fresh, ambient, 45.0);
+
+  const Matrix& xa = original.database().fingerprints();
+  const Matrix& xb = restored.database().fingerprints();
+  ASSERT_TRUE(xa.same_shape(xb));
+  std::size_t differing = 0;
+  for (std::size_t k = 0; k < xa.data().size(); ++k)
+    if (std::memcmp(&xa.data()[k], &xb.data()[k], sizeof(double)) != 0) ++differing;
+  EXPECT_EQ(differing, 0u);
+  EXPECT_EQ(a.solver.objective, b.solver.objective);
+  EXPECT_EQ(a.solver.outer_iterations, b.solver.outer_iterations);
+  EXPECT_EQ(original.telemetry().counter("recon.loli_ir.cg_iterations").value(),
+            restored.telemetry().counter("recon.loli_ir.cg_iterations").value());
+  EXPECT_GT(a.solver.outer_iterations, 0u);
 }
 
 TEST_F(TafLocSystemTest, ImportStateValidatesShapes) {
