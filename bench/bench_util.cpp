@@ -64,8 +64,8 @@ ReconInstance::ReconInstance(std::uint64_t seed, double t, std::size_t n_refs,
   problem.prediction = lrr.predict(fresh);
   problem.reference_columns = fresh;
   problem.reference_indices = refs;
-  problem.continuity = continuity_pairs(scenario.deployment(), &mask);
-  problem.similarity = similarity_pairs(scenario.deployment(), &mask);
+  problem.continuity = continuity_pairs(scenario.deployment(), &mask.undistorted);
+  problem.similarity = similarity_pairs(scenario.deployment(), &mask.undistorted);
 
   truth = scenario.collector().ground_truth(t);
 }

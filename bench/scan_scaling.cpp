@@ -146,8 +146,8 @@ SolveTimings time_solve(const ScaleFixture& f, std::uint64_t seed) {
     for (std::size_t i = 0; i < f.fingerprints.rows(); ++i)
       problem.reference_columns(i, r) = f.fingerprints(i, refs[r]);
   problem.reference_indices = refs;
-  problem.continuity = continuity_pairs(f.deployment, &mask);
-  problem.similarity = similarity_pairs(f.deployment, &mask);
+  problem.continuity = continuity_pairs(f.deployment, &mask.undistorted);
+  problem.similarity = similarity_pairs(f.deployment, &mask.undistorted);
 
   LoliIrConfig config;
   config.rank = 4;

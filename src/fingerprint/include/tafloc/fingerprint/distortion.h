@@ -24,12 +24,17 @@
 
 namespace tafloc {
 
-/// The classification result.  `undistorted` is the paper's B (1.0 /
-/// 0.0 entries); `distorted` is its complement (the support of X_D).
+/// The classification result: the paper's B (1.0 / 0.0 entries).  Its
+/// complement, the support of X_D, is not stored; distorted() reads it
+/// off B.
 struct DistortionMask {
   Matrix undistorted;
-  Matrix distorted;
 
+  /// True when a target at grid `grid` largely distorts link `link`
+  /// (B == 0, the entry lies in the support of X_D).
+  bool distorted(std::size_t link, std::size_t grid) const {
+    return undistorted(link, grid) == 0.0;
+  }
   std::size_t num_distorted() const noexcept;
   std::size_t num_undistorted() const noexcept;
   /// Fraction of entries classified as distorted, in [0, 1].

@@ -7,18 +7,18 @@ namespace tafloc {
 
 std::size_t DistortionMask::num_distorted() const noexcept {
   std::size_t n = 0;
-  for (double v : distorted.data())
-    if (v != 0.0) ++n;
+  for (double v : undistorted.data())
+    if (v == 0.0) ++n;
   return n;
 }
 
 std::size_t DistortionMask::num_undistorted() const noexcept {
-  return distorted.size() - num_distorted();
+  return undistorted.size() - num_distorted();
 }
 
 double DistortionMask::distorted_fraction() const noexcept {
-  if (distorted.size() == 0) return 0.0;
-  return static_cast<double>(num_distorted()) / static_cast<double>(distorted.size());
+  if (undistorted.size() == 0) return 0.0;
+  return static_cast<double>(num_distorted()) / static_cast<double>(undistorted.size());
 }
 
 DistortionDetector::DistortionDetector(const DistortionConfig& config) : config_(config) {
@@ -30,13 +30,12 @@ DistortionDetector::DistortionDetector(const DistortionConfig& config) : config_
 DistortionMask DistortionDetector::detect_geometric(const Deployment& deployment) const {
   const std::size_t m = deployment.num_links();
   const std::size_t n = deployment.num_grids();
-  DistortionMask mask{Matrix(m, n), Matrix(m, n)};
+  DistortionMask mask{Matrix(m, n)};
   for (std::size_t j = 0; j < n; ++j) {
     const Point2 c = deployment.grid().center(j);
     for (std::size_t i = 0; i < m; ++i) {
       const bool hits =
           excess_path_length(c, deployment.links()[i]) < config_.excess_path_threshold_m;
-      mask.distorted(i, j) = hits ? 1.0 : 0.0;
       mask.undistorted(i, j) = hits ? 0.0 : 1.0;
     }
   }
@@ -47,11 +46,10 @@ DistortionMask DistortionDetector::detect_from_data(const Matrix& x,
                                                     std::span<const double> ambient) const {
   TAFLOC_CHECK_ARG(!x.empty(), "fingerprint matrix must be non-empty");
   TAFLOC_CHECK_ARG(ambient.size() == x.rows(), "ambient vector must have one entry per link");
-  DistortionMask mask{Matrix(x.rows(), x.cols()), Matrix(x.rows(), x.cols())};
+  DistortionMask mask{Matrix(x.rows(), x.cols())};
   for (std::size_t i = 0; i < x.rows(); ++i) {
     for (std::size_t j = 0; j < x.cols(); ++j) {
       const bool hits = (ambient[i] - x(i, j)) > config_.rss_drop_threshold_db;
-      mask.distorted(i, j) = hits ? 1.0 : 0.0;
       mask.undistorted(i, j) = hits ? 0.0 : 1.0;
     }
   }

@@ -21,7 +21,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "tafloc/fingerprint/distortion.h"
 #include "tafloc/linalg/matrix.h"
 #include "tafloc/sim/deployment.h"
 #include "tafloc/sim/grid.h"
@@ -35,17 +34,17 @@ struct PairwiseTerm {
 };
 
 /// Continuity pairs for a deployment: per link, neighbouring-grid pairs
-/// along the link's dominant axis.  When `mask` is non-null, only pairs
-/// with BOTH entries in the distorted support are emitted (the paper's
-/// X_D restriction).
+/// along the link's dominant axis.  When `undistorted` (the 0/1 mask B,
+/// links x grids) is non-null, only pairs with BOTH entries in the
+/// distorted support (B == 0) are emitted (the paper's X_D restriction).
 std::vector<PairwiseTerm> continuity_pairs(const Deployment& deployment,
-                                           const DistortionMask* mask = nullptr);
+                                           const Matrix* undistorted = nullptr);
 
 /// Similarity pairs for a deployment: per adjacent parallel link pair
 /// (Deployment::adjacent_link_pairs), the same-grid entry pairs;
-/// optionally restricted to the distorted support.
+/// optionally restricted to the distorted support of B.
 std::vector<PairwiseTerm> similarity_pairs(const Deployment& deployment,
-                                           const DistortionMask* mask = nullptr);
+                                           const Matrix* undistorted = nullptr);
 
 /// Dense continuity operator G (N x P, one column per east-west
 /// neighbour pair): column p has +1 at the pair's first grid and -1 at

@@ -19,11 +19,11 @@ std::vector<double> entrywise_abs_errors_distorted(const Matrix& reconstructed,
                                                    const Matrix& truth,
                                                    const DistortionMask& mask) {
   TAFLOC_CHECK_ARG(reconstructed.same_shape(truth), "matrices must have equal shapes");
-  TAFLOC_CHECK_ARG(mask.distorted.same_shape(truth), "mask shape must match the matrices");
+  TAFLOC_CHECK_ARG(mask.undistorted.same_shape(truth), "mask shape must match the matrices");
   std::vector<double> out;
   for (std::size_t i = 0; i < reconstructed.rows(); ++i)
     for (std::size_t j = 0; j < reconstructed.cols(); ++j)
-      if (mask.distorted(i, j) != 0.0)
+      if (mask.distorted(i, j))
         out.push_back(std::abs(reconstructed(i, j) - truth(i, j)));
   return out;
 }

@@ -6,25 +6,23 @@ namespace tafloc {
 
 namespace {
 
-void check_mask(const DistortionMask* mask, std::size_t num_links, std::size_t num_grids) {
-  if (mask == nullptr) return;
-  TAFLOC_CHECK_ARG(mask->distorted.rows() == num_links && mask->distorted.cols() == num_grids,
+void check_mask(const Matrix* b, std::size_t num_links, std::size_t num_grids) {
+  if (b == nullptr) return;
+  TAFLOC_CHECK_ARG(b->rows() == num_links && b->cols() == num_grids,
                    "mask shape must be links x grids");
 }
 
-bool pair_distorted(const DistortionMask* mask, std::size_t link, std::size_t j1,
-                    std::size_t j2) {
-  return mask == nullptr ||
-         (mask->distorted(link, j1) != 0.0 && mask->distorted(link, j2) != 0.0);
+bool pair_distorted(const Matrix* b, std::size_t link, std::size_t j1, std::size_t j2) {
+  return b == nullptr || ((*b)(link, j1) == 0.0 && (*b)(link, j2) == 0.0);
 }
 
 }  // namespace
 
 std::vector<PairwiseTerm> continuity_pairs(const Deployment& deployment,
-                                           const DistortionMask* mask) {
+                                           const Matrix* undistorted) {
   const GridMap& grid = deployment.grid();
   const std::size_t m = deployment.num_links();
-  check_mask(mask, m, grid.num_cells());
+  check_mask(undistorted, m, grid.num_cells());
 
   std::vector<PairwiseTerm> pairs;
   for (std::size_t i = 0; i < m; ++i) {
@@ -33,7 +31,7 @@ std::vector<PairwiseTerm> continuity_pairs(const Deployment& deployment,
         for (std::size_t ix = 0; ix + 1 < grid.nx(); ++ix) {
           const std::size_t j1 = grid.index(ix, iy);
           const std::size_t j2 = grid.index(ix + 1, iy);
-          if (pair_distorted(mask, i, j1, j2)) pairs.push_back(PairwiseTerm{i, j1, i, j2});
+          if (pair_distorted(undistorted, i, j1, j2)) pairs.push_back(PairwiseTerm{i, j1, i, j2});
         }
       }
     } else {
@@ -41,7 +39,7 @@ std::vector<PairwiseTerm> continuity_pairs(const Deployment& deployment,
         for (std::size_t iy = 0; iy + 1 < grid.ny(); ++iy) {
           const std::size_t j1 = grid.index(ix, iy);
           const std::size_t j2 = grid.index(ix, iy + 1);
-          if (pair_distorted(mask, i, j1, j2)) pairs.push_back(PairwiseTerm{i, j1, i, j2});
+          if (pair_distorted(undistorted, i, j1, j2)) pairs.push_back(PairwiseTerm{i, j1, i, j2});
         }
       }
     }
@@ -50,15 +48,15 @@ std::vector<PairwiseTerm> continuity_pairs(const Deployment& deployment,
 }
 
 std::vector<PairwiseTerm> similarity_pairs(const Deployment& deployment,
-                                           const DistortionMask* mask) {
+                                           const Matrix* undistorted) {
   const std::size_t n = deployment.num_grids();
-  check_mask(mask, deployment.num_links(), n);
+  check_mask(undistorted, deployment.num_links(), n);
 
   std::vector<PairwiseTerm> pairs;
   for (const auto& [i1, i2] : deployment.adjacent_link_pairs()) {
     for (std::size_t j = 0; j < n; ++j) {
-      if (mask != nullptr &&
-          (mask->distorted(i1, j) == 0.0 || mask->distorted(i2, j) == 0.0))
+      if (undistorted != nullptr &&
+          ((*undistorted)(i1, j) != 0.0 || (*undistorted)(i2, j) != 0.0))
         continue;
       pairs.push_back(PairwiseTerm{i1, j, i2, j});
     }

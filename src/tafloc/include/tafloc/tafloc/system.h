@@ -319,8 +319,6 @@ class TafLocSystem : public Localizer {
   std::optional<LrrModel> lrr_;
   std::optional<DistortionMask> mask_;
   std::vector<std::size_t> reference_indices_;
-  std::vector<PairwiseTerm> continuity_;
-  std::vector<PairwiseTerm> similarity_;
   std::unique_ptr<KnnMatcher> matcher_;
   std::unique_ptr<MetricRegistry> telemetry_;  ///< per-system, never global.
 

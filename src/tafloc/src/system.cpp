@@ -56,8 +56,6 @@ TafLocSystem::TafLocSystem(TafLocSystem&& other) noexcept
       lrr_(std::move(other.lrr_)),
       mask_(std::move(other.mask_)),
       reference_indices_(std::move(other.reference_indices_)),
-      continuity_(std::move(other.continuity_)),
-      similarity_(std::move(other.similarity_)),
       matcher_(std::move(other.matcher_)),
       telemetry_(std::move(other.telemetry_)),
       degraded_query_count_(other.degraded_query_count_),
@@ -120,10 +118,6 @@ void TafLocSystem::calibrate(const Matrix& full_survey, Vector ambient, double t
   LrrOptions lrr_options;
   lrr_options.telemetry = telemetry_.get();
   lrr_.emplace(full_survey, reference_indices_, lrr_options);
-
-  // Property-iii pair sets, fixed by the learned distortion structure.
-  continuity_ = continuity_pairs(deployment_, &*mask_);
-  similarity_ = similarity_pairs(deployment_, &*mask_);
 
   database_.emplace(full_survey, std::move(ambient), t_days);
   rebuild_matcher();
@@ -204,8 +198,6 @@ TafLocSystem::StagedUpdate TafLocSystem::stage_update(const Matrix& fresh_refere
   problem.known = known_entry_matrix(*mask_, fresh_ambient);
   problem.prediction = lrr_->predict(ref_cols);
   problem.reference_indices = reference_indices_;
-  problem.continuity = continuity_;
-  problem.similarity = similarity_;
   if (!health.all_usable()) {
     // Dead rows leave the data and reference terms (see loli_ir.h); the
     // LRR term still spans them, so give it the previous fingerprints as
@@ -227,7 +219,13 @@ TafLocSystem::StagedUpdate TafLocSystem::stage_update(const Matrix& fresh_refere
 
 void TafLocSystem::solve_staged_update(StagedUpdate& staged) const {
   ScopedSpan span(telemetry_.get(), "system.solve_update_seconds");
-  staged.solver = loli_ir_reconstruct(staged.problem, config_.solver);
+  // The property-iii pair sets follow from B alone, so they are built
+  // here from the problem's own copy of it -- on the worker, and only
+  // for as long as the solve runs.
+  LoliIrProblem& problem = staged.problem;
+  problem.continuity = continuity_pairs(deployment_, &problem.mask_undistorted);
+  problem.similarity = similarity_pairs(deployment_, &problem.mask_undistorted);
+  staged.solver = loli_ir_reconstruct(problem, config_.solver);
   staged.solved = true;
 }
 
@@ -404,19 +402,9 @@ void TafLocSystem::import_state(const TafLocState& state) {
   for (double v : state.mask_undistorted.data())
     TAFLOC_CHECK_ARG(v == 0.0 || v == 1.0, "state mask entries must be 0 or 1");
 
-  mask_.emplace();
-  mask_->undistorted = state.mask_undistorted;
-  mask_->distorted = Matrix(state.mask_undistorted.rows(), state.mask_undistorted.cols());
-  for (std::size_t i = 0; i < mask_->undistorted.rows(); ++i)
-    for (std::size_t j = 0; j < mask_->undistorted.cols(); ++j)
-      mask_->distorted(i, j) = 1.0 - mask_->undistorted(i, j);
-
+  mask_.emplace(DistortionMask{state.mask_undistorted});
   reference_indices_ = state.reference_indices;
   lrr_.emplace(LrrModel::from_correlation(state.correlation, state.reference_indices));
-
-  continuity_ = continuity_pairs(deployment_, &*mask_);
-  similarity_ = similarity_pairs(deployment_, &*mask_);
-
   database_.emplace(state.fingerprints, state.ambient, state.surveyed_at_days);
   rebuild_matcher();
 }

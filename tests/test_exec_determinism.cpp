@@ -167,8 +167,8 @@ LoliIrProblem paper_room_problem(std::uint64_t seed, double t_days) {
   problem.prediction = lrr.predict(fresh_refs);
   problem.reference_columns = fresh_refs;
   problem.reference_indices = refs;
-  problem.continuity = continuity_pairs(scenario.deployment(), &mask);
-  problem.similarity = similarity_pairs(scenario.deployment(), &mask);
+  problem.continuity = continuity_pairs(scenario.deployment(), &mask.undistorted);
+  problem.similarity = similarity_pairs(scenario.deployment(), &mask.undistorted);
   return problem;
 }
 

@@ -40,8 +40,8 @@ struct Workbench {
     problem.prediction = lrr.predict(fresh_refs);
     problem.reference_columns = fresh_refs;
     problem.reference_indices = refs;
-    problem.continuity = continuity_pairs(scenario.deployment(), &mask);
-    problem.similarity = similarity_pairs(scenario.deployment(), &mask);
+    problem.continuity = continuity_pairs(scenario.deployment(), &mask.undistorted);
+    problem.similarity = similarity_pairs(scenario.deployment(), &mask.undistorted);
   }
 
  private:
