@@ -55,6 +55,21 @@ std::vector<CompletedRound> BatchAssembler::ingest(const NodeBatch& batch) {
       fresh.y.assign(config_.num_links, std::numeric_limits<double>::quiet_NaN());
       fresh.have.assign(config_.num_links, 0);
       it = pending_.emplace(r.t_days, std::move(fresh)).first;
+      // Bound memory as rounds open: past the cap the oldest open round
+      // expires (possibly this one), and its later readings are stale by
+      // the watermark.
+      if (pending_.size() > config_.max_pending_rounds) {
+        const auto oldest = pending_.begin();
+        const bool opened_oldest = oldest == it;
+        closed_before_ = any_closed_ ? std::max(closed_before_, oldest->first) : oldest->first;
+        any_closed_ = true;
+        pending_.erase(oldest);
+        ++counters_.rounds_expired;
+        if (opened_oldest) {
+          ++counters_.stale_dropped;
+          continue;
+        }
+      }
     }
 
     PendingRound& round = it->second;
@@ -81,16 +96,6 @@ std::vector<CompletedRound> BatchAssembler::ingest(const NodeBatch& batch) {
       pending_.erase(it);
       ++counters_.rounds_completed;
     }
-  }
-
-  // Bound memory: evict the oldest open rounds past the cap.  An
-  // evicted round's future readings are then stale by the watermark.
-  while (pending_.size() > config_.max_pending_rounds) {
-    const auto oldest = pending_.begin();
-    closed_before_ = any_closed_ ? std::max(closed_before_, oldest->first) : oldest->first;
-    any_closed_ = true;
-    pending_.erase(oldest);
-    ++counters_.rounds_expired;
   }
 
   std::sort(completed.begin(), completed.end(),

@@ -256,6 +256,54 @@ TEST(BatchAssembler, PendingRoundCapEvictsTheOldest) {
   EXPECT_EQ(asm_.pending_rounds(), 2u);
 }
 
+TEST(BatchAssembler, PendingRoundCapHoldsInsideOneBatch) {
+  // The cap applies as each round opens, not after the batch: opening
+  // t=3 expires t=1 before the batch's last reading could complete it.
+  BatchAssembler asm_(small_config(2, 64, /*max_pending=*/2));
+  const auto rounds = asm_.ingest(make_batch(
+      0, {{0, -40.0, 1, 1.0}, {0, -40.0, 2, 2.0}, {0, -40.0, 3, 3.0}, {1, -41.0, 4, 1.0}}));
+  EXPECT_TRUE(rounds.empty());
+  const IngestCounters& c = asm_.counters();
+  EXPECT_EQ(c.rounds_completed, 0u);
+  EXPECT_EQ(c.rounds_expired, 1u);
+  EXPECT_EQ(c.readings, 3u);
+  EXPECT_EQ(c.stale_dropped, 1u);  // t=1's last reading.
+  EXPECT_EQ(asm_.pending_rounds(), 2u);
+}
+
+TEST(BatchAssembler, TenThousandRoundBatchStaysWithinTheCap) {
+  // One reading per timestamp, all in one batch.  Oldest first: every
+  // round past the 64th expires the oldest.  Newest first: the 65th
+  // round is itself the oldest, expires as it opens, and raises the
+  // watermark past every later reading.  Either way the newest 64
+  // rounds stay open and every reading is accounted for.
+  constexpr std::size_t kRounds = 10'000;
+  constexpr std::size_t kCap = 64;
+  for (const bool oldest_first : {true, false}) {
+    SCOPED_TRACE(oldest_first ? "oldest first" : "newest first");
+    BatchAssembler asm_(small_config(3, 8, kCap));
+    NodeBatch batch;
+    batch.node_id = 0;
+    for (std::size_t k = 0; k < kRounds; ++k) {
+      const double t = static_cast<double>(oldest_first ? k + 1 : kRounds - k);
+      batch.readings.push_back(NodeReading{0, -40.0, k + 1, t});
+    }
+    EXPECT_TRUE(asm_.ingest(batch).empty());
+    const IngestCounters& c = asm_.counters();
+    EXPECT_EQ(c.readings + c.dups_dropped + c.stale_dropped + c.bad_readings, kRounds);
+    EXPECT_EQ(asm_.pending_rounds(), kCap);
+    EXPECT_EQ(c.rounds_completed, 0u);
+    if (oldest_first) {
+      EXPECT_EQ(c.readings, kRounds);
+      EXPECT_EQ(c.rounds_expired, kRounds - kCap);
+    } else {
+      EXPECT_EQ(c.readings, kCap);
+      EXPECT_EQ(c.stale_dropped, kRounds - kCap);
+      EXPECT_EQ(c.rounds_expired, 1u);
+    }
+  }
+}
+
 TEST(BatchAssembler, AccountingIsExhaustive) {
   // Every ingested reading lands in exactly one counter bucket.
   BatchAssembler asm_(small_config());
