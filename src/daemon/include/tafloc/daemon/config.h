@@ -31,8 +31,9 @@
 // std::runtime_error with the offending line number -- a daemon must
 // refuse a config it does not fully understand rather than half-apply
 // it.  trace_ring_capacity and slow_log_capacity are capped at
-// kMaxTraceEntries (65536), and slow_query_ms and slo_deadline_ms at
-// kMaxLatencyThresholdMs (one day); see telemetry/trace.h.
+// kMaxTraceEntries (65536), and slow_query_ms, slo_deadline_ms and
+// fault_slow_ms at kMaxLatencyThresholdMs (one day); see
+// telemetry/trace.h.
 #pragma once
 
 #include <cstdint>

@@ -66,8 +66,8 @@ std::uint64_t parse_trace_entries(const std::string& value, std::size_t line_no,
   return entries;
 }
 
-/// A per-request latency threshold in ms: 0 (off) up to
-/// kMaxLatencyThresholdMs.  Rejects NaN and infinities too.
+/// A per-request latency in ms (a threshold or an injected delay): 0
+/// (off) up to kMaxLatencyThresholdMs.  Rejects NaN and infinities too.
 double parse_latency_ms(const std::string& value, std::size_t line_no, const std::string& key) {
   const double ms = parse_double(value, line_no, key);
   if (!(ms >= 0.0 && ms <= kMaxLatencyThresholdMs)) {
@@ -158,8 +158,7 @@ DaemonConfig DaemonConfig::parse(std::istream& in) {
     } else if (key == "fault_slow_every") {
       zone->fault_slow_every = parse_u64(value, line_no, key);
     } else if (key == "fault_slow_ms") {
-      zone->fault_slow_ms = parse_double(value, line_no, key);
-      if (zone->fault_slow_ms < 0.0) fail(line_no, "fault_slow_ms must be >= 0");
+      zone->fault_slow_ms = parse_latency_ms(value, line_no, key);
     } else if (key == "motion_threshold_db") {
       zone->ingest.motion_threshold_db = parse_double(value, line_no, key);
       if (zone->ingest.motion_threshold_db < 0.0) fail(line_no, "motion_threshold_db must be >= 0");

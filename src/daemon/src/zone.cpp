@@ -35,8 +35,9 @@ ZoneConfig checked(ZoneConfig config) {
                    zone + "trace_ring_capacity exceeds kMaxTraceEntries");
   TAFLOC_CHECK_ARG(config.slow_log_capacity <= kMaxTraceEntries,
                    zone + "slow_log_capacity exceeds kMaxTraceEntries");
-  TAFLOC_CHECK_ARG(std::isfinite(config.fault_slow_ms) && config.fault_slow_ms >= 0.0,
-                   zone + "fault_slow_ms must be finite and >= 0");
+  TAFLOC_CHECK_ARG(std::isfinite(config.fault_slow_ms) && config.fault_slow_ms >= 0.0 &&
+                       config.fault_slow_ms <= kMaxLatencyThresholdMs,
+                   zone + "fault_slow_ms must be finite, >= 0 and at most one day");
   TAFLOC_CHECK_ARG(
       std::isfinite(config.ingest.motion_threshold_db) && config.ingest.motion_threshold_db >= 0.0,
       zone + "motion_threshold_db must be finite and >= 0");

@@ -155,14 +155,22 @@ TEST(DaemonConfig, RejectsTraceSizesAndLatenciesBeyondTheirCaps) {
   EXPECT_TRUE(rejected("slow_query_ms = 1e15"));
   EXPECT_TRUE(rejected("slo_deadline_ms = nan"));
   EXPECT_TRUE(rejected("slow_query_ms = inf"));
+  // An injected delay becomes a sleep_for duration: 1e300 ms overflows
+  // the clock's integer nanoseconds.
+  EXPECT_TRUE(rejected("fault_slow_ms = 1e300"));
+  EXPECT_TRUE(rejected("fault_slow_ms = 86400001"));
+  EXPECT_TRUE(rejected("fault_slow_ms = nan"));
+  EXPECT_TRUE(rejected("fault_slow_ms = inf"));
 
   const DaemonConfig at_caps = parse(
       "socket = /tmp/t.sock\n[zone a]\ntrace_ring_capacity = 65536\n"
-      "slow_log_capacity = 65536\nslo_deadline_ms = 86400000\nslow_query_ms = 86400000\n");
+      "slow_log_capacity = 65536\nslo_deadline_ms = 86400000\nslow_query_ms = 86400000\n"
+      "fault_slow_ms = 86400000\n");
   EXPECT_EQ(at_caps.zones[0].trace_ring_capacity, 65536u);
   EXPECT_EQ(at_caps.zones[0].slow_log_capacity, 65536u);
   EXPECT_EQ(at_caps.zones[0].slo_deadline_ms, 86400000.0);
   EXPECT_EQ(at_caps.zones[0].slow_query_ms, 86400000.0);
+  EXPECT_EQ(at_caps.zones[0].fault_slow_ms, 86400000.0);
 }
 
 TEST(DaemonConfig, LoadFileMissingThrows) {

@@ -366,6 +366,12 @@ TEST(ZoneConfigValidation, OversizedTraceAndLatencyConfigIsRefused) {
                std::invalid_argument);
   EXPECT_THROW(Zone(with([](ZoneConfig& c) { c.slow_query_ms = std::nan(""); }), nullptr),
                std::invalid_argument);
+  // The injected delay becomes a sleep_for duration, checked the same way
+  // (no query is sent: the constructor refuses the config).
+  EXPECT_THROW(Zone(with([](ZoneConfig& c) { c.fault_slow_ms = 1e300; }), nullptr),
+               std::invalid_argument);
+  EXPECT_THROW(Zone(with([](ZoneConfig& c) { c.fault_slow_ms = 86'400'001.0; }), nullptr),
+               std::invalid_argument);
 }
 
 TEST(ZoneLifecycle, TransitionsLandInZoneTelemetry) {
