@@ -156,7 +156,8 @@ class TafLocSystem : public Localizer {
   StagedUpdate stage_update(const Matrix& fresh_reference_columns, Vector fresh_ambient,
                             double t_days);
 
-  /// The expensive part: runs LoLi-IR on the staged problem.  Reads no
+  /// The expensive part: builds the continuity and similarity pair sets
+  /// from the staged problem's B, then runs LoLi-IR on it.  Reads no
   /// mutable system state -- safe to run on a worker thread while the
   /// serving thread keeps localizing against the old matrix.
   void solve_staged_update(StagedUpdate& staged) const;

@@ -219,9 +219,9 @@ TafLocSystem::StagedUpdate TafLocSystem::stage_update(const Matrix& fresh_refere
 
 void TafLocSystem::solve_staged_update(StagedUpdate& staged) const {
   ScopedSpan span(telemetry_.get(), "system.solve_update_seconds");
-  // The property-iii pair sets follow from B alone, so they are built
-  // here from the problem's own copy of it -- on the worker, and only
-  // for as long as the solve runs.
+  // The property-iii pair sets follow from B alone, so the worker builds
+  // them from the problem's own copy of it; they live only as long as
+  // this staged update.
   LoliIrProblem& problem = staged.problem;
   problem.continuity = continuity_pairs(deployment_, &problem.mask_undistorted);
   problem.similarity = similarity_pairs(deployment_, &problem.mask_undistorted);
