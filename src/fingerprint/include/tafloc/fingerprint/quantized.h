@@ -56,6 +56,9 @@ class QuantizedTier {
  public:
   /// Link-dimension padding granularity: one AVX2 register of int8.
   static constexpr std::size_t kPad = 32;
+  /// Cell 0 starts on this boundary, so no 32-byte pre-pass load splits
+  /// a cache line wherever the allocator placed the buffer.
+  static constexpr std::size_t kAlign = 64;
 
   QuantizedTier() = default;
 
@@ -83,7 +86,7 @@ class QuantizedTier {
 
   /// Quantized column of grid j: padded_links() contiguous bytes.
   const std::int8_t* cell_data(std::size_t grid) const {
-    return cells_.data() + grid * padded_;
+    return cells_.data() + base_ + grid * padded_;
   }
 
   /// Level for one value on one link's grid (exposed inline so the
@@ -112,7 +115,11 @@ class QuantizedTier {
   unsigned index_bits_ = 0;
   double scale_ = 1.0;
   std::vector<double> offsets_;
-  std::vector<std::int8_t> cells_;  ///< grids_ * padded_, grid-major.
+  /// grids_ * padded_ bytes from base_, grid-major.  base_ is where the
+  /// buffer first meets a kAlign boundary; a copy keeps it (still
+  /// correct, possibly unaligned).
+  std::vector<std::int8_t> cells_;
+  std::size_t base_ = 0;
 };
 
 }  // namespace tafloc

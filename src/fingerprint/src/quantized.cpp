@@ -17,6 +17,7 @@ void QuantizedTier::clear() {
   scale_ = 1.0;
   offsets_.clear();
   cells_.clear();
+  base_ = 0;
 }
 
 void QuantizedTier::rebuild(ConstMatrixView fingerprints) {
@@ -69,13 +70,15 @@ void QuantizedTier::rebuild(ConstMatrixView fingerprints) {
   }
   scale_ = half_range > 0.0 ? half_range / 127.0 : 1.0;
 
-  // Pass 2: quantize, grid-major with zeroed padding.
-  cells_.assign(grids_ * padded_, 0);
+  // Pass 2: quantize, grid-major with zeroed padding, from the
+  // buffer's first kAlign boundary.
+  cells_.assign(grids_ * padded_ + kAlign - 1, 0);
+  base_ = (kAlign - reinterpret_cast<std::uintptr_t>(cells_.data()) % kAlign) % kAlign;
   for (std::size_t i = 0; i < m; ++i) {
     const double* row = fingerprints.row_ptr(i);
     const double off = offsets_[i];
     for (std::size_t j = 0; j < n; ++j)
-      cells_[j * padded_ + i] = quantize_level(row[j], off, scale_);
+      cells_[base_ + j * padded_ + i] = quantize_level(row[j], off, scale_);
   }
 }
 

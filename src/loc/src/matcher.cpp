@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 
 #include "tafloc/exec/thread_pool.h"
 #include "tafloc/linalg/backend.h"
@@ -159,6 +160,9 @@ Counter& knn_scratch_allocation_counter() {
 /// for 48, nth_element 10-11 us for either.
 constexpr std::size_t kHeapSelectMax = 32;
 
+/// Spare keys past n, so the key buffer can start on a 64-byte line.
+constexpr std::size_t kKeySlack = 64 / sizeof(std::uint64_t) - 1;
+
 /// Two-tier scan: int8 integer pre-pass over every grid, exact float
 /// re-rank over a provably sufficient candidate prefix.
 ///
@@ -233,8 +237,13 @@ std::span<const Neighbor> quantized_scan(ConstMatrixView fp, std::span<const dou
   // Integer pre-pass over every grid, one kernel call per cell range.
   // Each key is an independent exact integer, so the parallel split
   // cannot perturb anything.
-  s.keys.resize(n);
-  std::uint64_t* keys = s.keys.data();
+  // The pre-pass stores four keys (32 bytes) at a time: start them on a
+  // cache-line boundary so no store splits a line.
+  s.keys.resize(n + kKeySlack);
+  void* line = s.keys.data();
+  std::size_t room = s.keys.size() * sizeof(std::uint64_t);
+  std::uint64_t* keys =
+      static_cast<std::uint64_t*>(std::align(64, n * sizeof(std::uint64_t), line, room));
   {
     TraceStage prepass_stage("loc.prepass");
     const KernelOps& ops = kernel_ops();
@@ -399,7 +408,7 @@ std::span<const Neighbor> KnnMatcher::nearest_in_scratch(std::span<const double>
   // query on this thread, masked or widened, allocates.
   bool grown = reserve_scratch(s.ranked, n);
   if (tier != nullptr) {
-    grown |= reserve_scratch(s.keys, n);
+    grown |= reserve_scratch(s.keys, n + kKeySlack);
     grown |= reserve_scratch(s.qvalues, tier->padded_links());
     grown |= reserve_scratch(s.qmask, tier->padded_links());
     grown |= reserve_scratch(s.qresidual, fp.rows());
