@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 #include "tafloc/linalg/matrix.h"
 #include "tafloc/linalg/sparse.h"
@@ -50,14 +49,6 @@ class RtiLocalizer : public Localizer {
 
   /// Reconstructed attenuation image for an observation (tests / demos).
   Vector image(std::span<const double> rss) const;
-
-  /// Multi-target extension: threshold the image at
-  /// `blob_threshold_fraction` of its peak, split the bright pixels
-  /// into 4-connected components, and return the weighted centroid of
-  /// the up-to-`max_targets` heaviest components (heaviest first).
-  /// With max_targets == 1 this reduces to (roughly) localize().
-  std::vector<Point2> localize_multi(std::span<const double> rss, std::size_t max_targets,
-                                     double blob_threshold_fraction = 0.5) const;
 
   /// Dense weight model (M x N).
   const Matrix& weight_model() const noexcept { return w_dense_; }

@@ -61,61 +61,6 @@ Vector RtiLocalizer::image(std::span<const double> rss) const {
   return cholesky_solve(chol_, w_sparse_.multiply_transposed(y));
 }
 
-std::vector<Point2> RtiLocalizer::localize_multi(std::span<const double> rss,
-                                                 std::size_t max_targets,
-                                                 double blob_threshold_fraction) const {
-  TAFLOC_CHECK_ARG(max_targets >= 1, "must ask for at least one target");
-  TAFLOC_CHECK_ARG(blob_threshold_fraction > 0.0 && blob_threshold_fraction < 1.0,
-                   "blob threshold fraction must be in (0, 1)");
-  const Vector img = image(rss);
-  const std::size_t n = img.size();
-
-  double peak = 0.0;
-  for (double v : img) peak = std::max(peak, v);
-  if (peak <= 0.0) return {};  // empty image: nobody visible
-  const double cut = blob_threshold_fraction * peak;
-
-  // 4-connected components over the bright pixels (flood fill).
-  std::vector<int> component(n, -1);
-  struct Blob {
-    double weight = 0.0;
-    double wx = 0.0, wy = 0.0;
-  };
-  std::vector<Blob> blobs;
-  std::vector<std::size_t> stack;
-  for (std::size_t start = 0; start < n; ++start) {
-    if (component[start] != -1 || img[start] < cut) continue;
-    const int id = static_cast<int>(blobs.size());
-    blobs.emplace_back();
-    stack.push_back(start);
-    component[start] = id;
-    while (!stack.empty()) {
-      const std::size_t j = stack.back();
-      stack.pop_back();
-      Blob& blob = blobs[static_cast<std::size_t>(id)];
-      const Point2 c = grid_.center(j);
-      blob.weight += img[j];
-      blob.wx += img[j] * c.x;
-      blob.wy += img[j] * c.y;
-      for (std::size_t nb : grid_.neighbors4(j)) {
-        if (component[nb] == -1 && img[nb] >= cut) {
-          component[nb] = id;
-          stack.push_back(nb);
-        }
-      }
-    }
-  }
-
-  std::sort(blobs.begin(), blobs.end(),
-            [](const Blob& a, const Blob& b) { return a.weight > b.weight; });
-  std::vector<Point2> out;
-  for (const Blob& b : blobs) {
-    if (out.size() == max_targets) break;
-    out.push_back({b.wx / b.weight, b.wy / b.weight});
-  }
-  return out;
-}
-
 Point2 RtiLocalizer::localize(std::span<const double> rss) const {
   const Vector img = image(rss);
   const std::size_t n = img.size();

@@ -1,7 +1,8 @@
-// Execution configuration shared by every parallel kernel in the
-// library.  A single knob -- the worker thread count -- is plumbed from
-// TafLocConfig (or the TAFLOC_THREADS environment variable) down to the
-// global ThreadPool that the linalg / recon / loc kernels draw from.
+// Execution settings shared by every parallel kernel in the library: the
+// worker thread count of the global ThreadPool that the linalg / recon /
+// loc kernels draw from (set_global_threads, or the TAFLOC_THREADS
+// environment variable), and the KernelBackend the linalg hot paths
+// dispatch to (linalg/backend.h).
 //
 // Determinism contract: every parallel kernel in this library
 // partitions work so that the floating-point operation order of each
@@ -25,22 +26,11 @@ enum class KernelBackend : std::uint8_t {
   kAvx2 = 2,    ///< AVX2 vector kernels (requires runtime CPU support).
 };
 
-struct ExecConfig {
-  /// Worker thread count for the global pool.  0 = automatic: the
-  /// TAFLOC_THREADS environment variable if set, otherwise
-  /// std::thread::hardware_concurrency().  1 = fully sequential legacy
-  /// behaviour (bit-identical to the pre-exec-layer code).
-  std::size_t threads = 0;
-  /// Kernel dispatch table for the linalg hot paths.  kAuto leaves the
-  /// process-wide selection alone (TAFLOC_KERNEL_BACKEND environment
-  /// variable, falling back to CPU detection); any other value forces
-  /// that backend at system construction, like `threads`.
-  KernelBackend kernel_backend = KernelBackend::kAuto;
-};
-
-/// Turn an ExecConfig thread request into a concrete count >= 1,
-/// applying the TAFLOC_THREADS / hardware_concurrency fallbacks.
-std::size_t resolve_thread_count(const ExecConfig& config = {});
+/// Turn a worker thread request into a concrete count >= 1.  0 means
+/// automatic: the TAFLOC_THREADS environment variable if set, otherwise
+/// std::thread::hardware_concurrency().  1 is the fully sequential
+/// legacy behaviour (bit-identical to the pre-exec-layer code).
+std::size_t resolve_thread_count(std::size_t requested = 0);
 
 /// Resize the process-global pool (see ThreadPool::global()).  0 uses
 /// the same automatic resolution as resolve_thread_count.  Not safe to

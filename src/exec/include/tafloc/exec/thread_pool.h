@@ -3,23 +3,18 @@
 // Design goals, in order:
 //  1. Determinism -- parallel_for hands out index *ranges*, so a kernel
 //     that keeps each output element's accumulation order internal to
-//     one range produces bit-identical results at any thread count;
-//     parallel_reduce fixes its chunk boundaries from the grain alone
-//     (never from the thread count) and combines partials in chunk
-//     order, so its rounding is also thread-count independent.
+//     one range produces bit-identical results at any thread count.
 //  2. Simplicity -- no work stealing, no lock-free queues: one mutex,
 //     two condition variables, a chunk counter.  TSan-clean by
 //     construction.
 //  3. Graceful nesting -- a parallel_for issued from inside a pool task
 //     runs inline on the calling thread (same results, no deadlock), so
-//     batch drivers can parallelize over items whose kernels are
-//     themselves parallel.
+//     a loop may call kernels that are themselves parallel.
 //
 // A pool of size 1 never spawns threads and runs every loop inline --
 // this is the "threads = 1 means bit-identical legacy behaviour" mode.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -54,29 +49,6 @@ class ThreadPool {
   void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
                     const std::function<void(std::size_t, std::size_t)>& body);
 
-  /// Map [begin, end) in fixed chunks of `grain` indices (the last one
-  /// shorter) and fold the per-chunk values left-to-right in chunk
-  /// order: combine(...combine(init, map(c0)), map(c1)...).  Chunk
-  /// boundaries depend only on `grain`, so the rounding of the fold is
-  /// identical at every thread count.
-  template <class T, class Map, class Combine>
-  T parallel_reduce(std::size_t begin, std::size_t end, std::size_t grain, T init,
-                    const Map& map, const Combine& combine) {
-    if (end <= begin) return init;
-    if (grain == 0) grain = 1;
-    const std::size_t n = end - begin;
-    const std::size_t chunks = (n + grain - 1) / grain;
-    std::vector<T> partial(chunks);
-    run_chunks(chunks, [&](std::size_t c) {
-      const std::size_t lo = begin + c * grain;
-      const std::size_t hi = lo + std::min(grain, end - lo);
-      partial[c] = map(lo, hi);
-    });
-    T acc = std::move(init);
-    for (std::size_t c = 0; c < chunks; ++c) acc = combine(std::move(acc), std::move(partial[c]));
-    return acc;
-  }
-
   /// True when the calling thread is currently executing a pool task
   /// (loops issued now would run inline).
   static bool in_pool_task() noexcept;
@@ -89,7 +61,7 @@ class ThreadPool {
 
   /// Run task(0) ... task(count - 1), distributed over the pool, in
   /// unspecified order; blocks until all are done.  Building block for
-  /// parallel_for / parallel_reduce, exposed for irregular workloads.
+  /// parallel_for, exposed for irregular workloads.
   void run_chunks(std::size_t count, const std::function<void(std::size_t)>& task);
 
   /// Point-in-time execution statistics.  Kept as relaxed atomics the

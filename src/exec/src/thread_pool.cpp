@@ -1,5 +1,6 @@
 #include "tafloc/exec/thread_pool.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
 
@@ -155,8 +156,8 @@ ThreadPool& ThreadPool::global() {
   return *g_pool;
 }
 
-std::size_t resolve_thread_count(const ExecConfig& config) {
-  if (config.threads != 0) return clamp_threads(config.threads);
+std::size_t resolve_thread_count(std::size_t requested) {
+  if (requested != 0) return clamp_threads(requested);
   if (const char* env = std::getenv("TAFLOC_THREADS")) {
     char* end = nullptr;
     const unsigned long parsed = std::strtoul(env, &end, 10);
@@ -166,7 +167,7 @@ std::size_t resolve_thread_count(const ExecConfig& config) {
 }
 
 void set_global_threads(std::size_t threads) {
-  const std::size_t resolved = resolve_thread_count(ExecConfig{threads});
+  const std::size_t resolved = resolve_thread_count(threads);
   std::lock_guard<std::mutex> lock(g_pool_mu);
   if (g_pool && g_pool->size() == resolved) return;
   g_pool = std::make_unique<ThreadPool>(resolved);

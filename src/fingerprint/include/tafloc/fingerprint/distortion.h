@@ -6,21 +6,16 @@
 //
 // The paper's B matrix has B(i, j) = 1 when the RSS of link i is
 // undistorted by a target at grid j; the complement defines the
-// largely-distorted matrix X_D.  Two detectors are provided:
-//
-//  - geometric: a target at grid j distorts link i when the grid centre
-//    falls inside the link's excess-path ellipse (what a deployer can
-//    compute from the floor plan alone);
-//  - data-driven: an entry is distorted when the surveyed RSS sits more
-//    than a threshold below the same link's ambient RSS (what the paper
-//    measures; works with no geometry knowledge).
+// largely-distorted matrix X_D.  The detector is data-driven: an entry
+// is distorted when the surveyed RSS sits more than a threshold below
+// the same link's ambient RSS (what the paper measures; works with no
+// geometry knowledge).
 #pragma once
 
 #include <cstddef>
 #include <span>
 
 #include "tafloc/linalg/matrix.h"
-#include "tafloc/sim/deployment.h"
 
 namespace tafloc {
 
@@ -41,23 +36,17 @@ struct DistortionMask {
   double distorted_fraction() const noexcept;
 };
 
-/// Detector thresholds.
+/// Detector threshold.
 struct DistortionConfig {
-  /// data-driven: RSS decrease below ambient that marks an entry
-  /// largely-distorted (paper reports noise of 1-4 dBm, so default 2 dB
-  /// keeps noise out while catching LoS blockage of ~6+ dB).
+  /// RSS decrease below ambient that marks an entry largely-distorted
+  /// (paper reports noise of 1-4 dBm, so default 2 dB keeps noise out
+  /// while catching LoS blockage of ~6+ dB).
   double rss_drop_threshold_db = 2.0;
-  /// geometric: excess path length below which a target position is
-  /// considered to distort the link.
-  double excess_path_threshold_m = 0.35;
 };
 
 class DistortionDetector {
  public:
   explicit DistortionDetector(const DistortionConfig& config = {});
-
-  /// Geometric classification over all (link, grid) pairs.
-  DistortionMask detect_geometric(const Deployment& deployment) const;
 
   /// Data-driven classification of a surveyed fingerprint matrix
   /// against the same-epoch ambient RSS vector (length == x.rows()).

@@ -1,6 +1,5 @@
 #include "tafloc/fingerprint/distortion.h"
 
-#include "tafloc/rf/geometry.h"
 #include "tafloc/util/check.h"
 
 namespace tafloc {
@@ -23,23 +22,6 @@ double DistortionMask::distorted_fraction() const noexcept {
 
 DistortionDetector::DistortionDetector(const DistortionConfig& config) : config_(config) {
   TAFLOC_CHECK_ARG(config.rss_drop_threshold_db > 0.0, "RSS drop threshold must be positive");
-  TAFLOC_CHECK_ARG(config.excess_path_threshold_m > 0.0,
-                   "excess path threshold must be positive");
-}
-
-DistortionMask DistortionDetector::detect_geometric(const Deployment& deployment) const {
-  const std::size_t m = deployment.num_links();
-  const std::size_t n = deployment.num_grids();
-  DistortionMask mask{Matrix(m, n)};
-  for (std::size_t j = 0; j < n; ++j) {
-    const Point2 c = deployment.grid().center(j);
-    for (std::size_t i = 0; i < m; ++i) {
-      const bool hits =
-          excess_path_length(c, deployment.links()[i]) < config_.excess_path_threshold_m;
-      mask.undistorted(i, j) = hits ? 0.0 : 1.0;
-    }
-  }
-  return mask;
 }
 
 DistortionMask DistortionDetector::detect_from_data(const Matrix& x,

@@ -28,9 +28,9 @@
 //     backend and are not in this table.
 //
 // Selection: `TAFLOC_KERNEL_BACKEND` (scalar | avx2 | auto) or
-// ExecConfig::kernel_backend via set_kernel_backend(); kAuto picks the
-// best supported table.  Forcing kScalar reproduces the pre-backend
-// results bit-for-bit -- CI runs the whole test suite that way.
+// set_kernel_backend(); kAuto picks the best supported table.  Forcing
+// kScalar reproduces the pre-backend results bit-for-bit -- CI runs the
+// whole test suite that way.
 #pragma once
 
 #include <cstddef>

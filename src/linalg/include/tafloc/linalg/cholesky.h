@@ -18,7 +18,4 @@ Vector cholesky_solve(const Matrix& l, std::span<const double> b);
 /// Solve a X = B column-by-column given the factor L (B: n x k).
 Matrix cholesky_solve_matrix(const Matrix& l, const Matrix& b);
 
-/// Convenience: factor + solve in one call.
-Vector solve_spd(const Matrix& a, std::span<const double> b);
-
 }  // namespace tafloc

@@ -1,24 +1,14 @@
-// Linear and ridge least-squares solvers.
+// Ridge least squares with a matrix right-hand side (the LRR fit).
 #pragma once
 
 #include "tafloc/linalg/matrix.h"
 
 namespace tafloc {
 
-/// Minimize ||a x - b||_2 for a tall or square full-column-rank matrix
-/// (a.rows() >= a.cols()) via Householder QR.
-Vector solve_least_squares(const Matrix& a, std::span<const double> b);
-
-/// Minimize ||a x - b||^2 + lambda ||x||^2 (lambda >= 0; lambda > 0
-/// works for any shape / rank).  Solved through the regularized normal
-/// equations with Cholesky.
-Vector solve_ridge(const Matrix& a, std::span<const double> b, double lambda);
-
-/// Matrix right-hand-side ridge: minimize ||a X - B||_F^2 + lambda ||X||_F^2.
-/// The Gram matrix is factored once and reused across B's columns.
+/// Matrix right-hand-side ridge: minimize ||a X - B||_F^2 + lambda ||X||_F^2
+/// (lambda >= 0; lambda > 0 works for any shape / rank).  Solved through
+/// the regularized normal equations: the Gram matrix is Cholesky-factored
+/// once and reused across B's columns.
 Matrix solve_ridge_matrix(const Matrix& a, const Matrix& b, double lambda);
-
-/// Residual norm ||a x - b||_2 (diagnostic helper).
-double residual_norm(const Matrix& a, std::span<const double> x, std::span<const double> b);
 
 }  // namespace tafloc

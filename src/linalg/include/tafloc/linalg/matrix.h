@@ -245,7 +245,7 @@ double max_abs_diff(const Matrix& a, const Matrix& b);
 // The innermost row primitives (the axpy inside gemm / gram /
 // transposed matvec / add_scaled, and the hadamard row) dispatch
 // through the pluggable KernelOps table (backend.h): scalar reference
-// or AVX2, selected via ExecConfig::kernel_backend or the
+// or AVX2, selected via set_kernel_backend() or the
 // TAFLOC_KERNEL_BACKEND environment variable.  Backends preserve the
 // per-element operation sequence exactly (no FMA, no lane-shared
 // accumulators), so kernel results are ALSO bit-identical across

@@ -1,7 +1,6 @@
-// Assorted matrix operations used by the reconstruction solvers:
-// soft-thresholding (the SVT proximal step), difference operators (the
-// paper's continuity matrix G and similarity matrix H), rank utilities
-// and deterministic random-matrix factories for tests and benches.
+// Assorted matrix operations used by the reconstruction solvers: the
+// singular-value shrink (the SVT proximal step), rank utilities and
+// deterministic random-matrix factories for tests and benches.
 #pragma once
 
 #include <cstddef>
@@ -11,27 +10,11 @@
 
 namespace tafloc {
 
-/// Scalar soft-threshold: sign(x) * max(|x| - tau, 0).
-double soft_threshold(double x, double tau) noexcept;
-
 /// Singular-value soft-threshold (the proximal operator of the nuclear
-/// norm): U * max(Sigma - tau, 0) * V^T.  tau must be >= 0.
-Matrix singular_value_shrink(const Matrix& a, double tau);
-
-/// Destination-passing shrink: writes into `out` (resized; reuses the
-/// buffer across solver iterations).  `out` must not alias `a`.
-/// Identical arithmetic to singular_value_shrink.
+/// norm): out = U * max(Sigma - tau, 0) * V^T, written into `out`
+/// (resized; reuses the buffer across solver iterations).  tau must be
+/// >= 0 and `out` must not alias `a`.
 void singular_value_shrink_into(const Matrix& a, double tau, Matrix& out);
-
-/// First-difference operator D (size (n-1) x n): (D x)_i = x_{i+1} - x_i.
-/// Requires n >= 2.  Left-multiplying by D differences the rows of a
-/// matrix (the paper's H); right-multiplying by D^T differences its
-/// columns (the paper's G).
-Matrix first_difference_operator(std::size_t n);
-
-/// Second-difference operator (size (n-2) x n): x_{i} - 2 x_{i+1} + x_{i+2}.
-/// Requires n >= 3.
-Matrix second_difference_operator(std::size_t n);
 
 /// Numeric rank via SVD.
 std::size_t numeric_rank(const Matrix& a, double rel_tol = 1e-10);

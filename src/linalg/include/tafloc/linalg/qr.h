@@ -40,8 +40,4 @@ struct PivotedQr {
 /// Compute the column-pivoted thin QR of a non-empty matrix.
 PivotedQr qr_decompose_pivoted(const Matrix& a);
 
-/// Solve the upper-triangular system r x = b by back substitution.
-/// r must be square with non-zero diagonal; b.size() == r.rows().
-Vector solve_upper_triangular(const Matrix& r, std::span<const double> b);
-
 }  // namespace tafloc

@@ -1,9 +1,9 @@
 // Compressed sparse row (CSR) matrix.
 //
 // The RTI weight model is naturally sparse (each link's ellipse covers
-// a thin band of grid cells); at Fig. 4 scale (60 links x 3600 cells) a
-// dense normal-equation solve stops being reasonable, so the iterative
-// RTI variant assembles W sparse and solves with CG using CSR matvecs.
+// a thin band of grid cells).  RTI assembles W sparse and forms each
+// image's W^T y with a CSR product, so a NaN on one link reaches only
+// the pixels in its ellipse; the normal matrix is then Cholesky-solved.
 #pragma once
 
 #include <cstddef>

@@ -46,7 +46,4 @@ struct SvdOptions {
 /// the default cap indicates pathological input such as NaNs).
 SvdResult svd_decompose(const Matrix& a, const SvdOptions& options = {});
 
-/// Best rank-`rank` approximation of `a` in Frobenius norm (Eckart-Young).
-Matrix truncated_svd_approximation(const Matrix& a, std::size_t rank);
-
 }  // namespace tafloc

@@ -61,8 +61,4 @@ Matrix cholesky_solve_matrix(const Matrix& l, const Matrix& b) {
   return x;
 }
 
-Vector solve_spd(const Matrix& a, std::span<const double> b) {
-  return cholesky_solve(cholesky_factor(a), b);
-}
-
 }  // namespace tafloc

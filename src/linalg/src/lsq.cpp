@@ -1,29 +1,9 @@
 #include "tafloc/linalg/lsq.h"
 
 #include "tafloc/linalg/cholesky.h"
-#include "tafloc/linalg/qr.h"
-#include "tafloc/linalg/vector_ops.h"
 #include "tafloc/util/check.h"
 
 namespace tafloc {
-
-Vector solve_least_squares(const Matrix& a, std::span<const double> b) {
-  TAFLOC_CHECK_ARG(a.rows() >= a.cols(), "least squares needs rows >= cols (else use ridge)");
-  TAFLOC_CHECK_ARG(a.rows() == b.size(), "right-hand side length mismatch");
-  const QrDecomposition qr = qr_decompose(a);
-  // x = R^{-1} Q^T b.
-  const Vector qtb = multiply_transposed(qr.q, b);
-  return solve_upper_triangular(qr.r, qtb);
-}
-
-Vector solve_ridge(const Matrix& a, std::span<const double> b, double lambda) {
-  TAFLOC_CHECK_ARG(lambda >= 0.0, "ridge parameter must be non-negative");
-  TAFLOC_CHECK_ARG(a.rows() == b.size(), "right-hand side length mismatch");
-  Matrix gram = gram_product(a, a);  // A^T A
-  for (std::size_t i = 0; i < gram.rows(); ++i) gram(i, i) += lambda;
-  const Vector atb = multiply_transposed(a, b);
-  return cholesky_solve(cholesky_factor(gram), atb);
-}
 
 Matrix solve_ridge_matrix(const Matrix& a, const Matrix& b, double lambda) {
   TAFLOC_CHECK_ARG(lambda >= 0.0, "ridge parameter must be non-negative");
@@ -33,11 +13,6 @@ Matrix solve_ridge_matrix(const Matrix& a, const Matrix& b, double lambda) {
   const Matrix l = cholesky_factor(gram);
   const Matrix atb = gram_product(a, b);  // A^T B
   return cholesky_solve_matrix(l, atb);
-}
-
-double residual_norm(const Matrix& a, std::span<const double> x, std::span<const double> b) {
-  const Vector ax = multiply(a, x);
-  return distance2(ax, b);
 }
 
 }  // namespace tafloc

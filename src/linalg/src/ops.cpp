@@ -9,45 +9,12 @@
 
 namespace tafloc {
 
-double soft_threshold(double x, double tau) noexcept {
-  if (x > tau) return x - tau;
-  if (x < -tau) return x + tau;
-  return 0.0;
-}
-
-Matrix singular_value_shrink(const Matrix& a, double tau) {
-  Matrix out;
-  singular_value_shrink_into(a, tau, out);
-  return out;
-}
-
 void singular_value_shrink_into(const Matrix& a, double tau, Matrix& out) {
   TAFLOC_CHECK_ARG(tau >= 0.0, "shrinkage threshold must be non-negative");
   TAFLOC_CHECK_ARG(&out != &a, "singular_value_shrink_into destination must not alias the input");
   SvdResult svd = svd_decompose(a);
   for (double& s : svd.sigma) s = std::max(s - tau, 0.0);
   svd.reconstruct_into(out);
-}
-
-Matrix first_difference_operator(std::size_t n) {
-  TAFLOC_CHECK_ARG(n >= 2, "first-difference operator needs n >= 2");
-  Matrix d(n - 1, n);
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    d(i, i) = -1.0;
-    d(i, i + 1) = 1.0;
-  }
-  return d;
-}
-
-Matrix second_difference_operator(std::size_t n) {
-  TAFLOC_CHECK_ARG(n >= 3, "second-difference operator needs n >= 3");
-  Matrix d(n - 2, n);
-  for (std::size_t i = 0; i + 2 < n; ++i) {
-    d(i, i) = 1.0;
-    d(i, i + 1) = -2.0;
-    d(i, i + 2) = 1.0;
-  }
-  return d;
 }
 
 std::size_t numeric_rank(const Matrix& a, double rel_tol) {

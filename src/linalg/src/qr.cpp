@@ -162,19 +162,4 @@ std::size_t PivotedQr::rank(double rel_tol) const {
   return rank;
 }
 
-Vector solve_upper_triangular(const Matrix& r, std::span<const double> b) {
-  TAFLOC_CHECK_ARG(r.rows() == r.cols(), "triangular solve needs a square matrix");
-  TAFLOC_CHECK_ARG(r.rows() == b.size(), "right-hand side length mismatch");
-  const std::size_t n = r.rows();
-  Vector x(b.begin(), b.end());
-  for (std::size_t ii = n; ii > 0; --ii) {
-    const std::size_t i = ii - 1;
-    double s = x[i];
-    for (std::size_t j = i + 1; j < n; ++j) s -= r(i, j) * x[j];
-    TAFLOC_CHECK_ARG(r(i, i) != 0.0, "singular triangular matrix");
-    x[i] = s / r(i, i);
-  }
-  return x;
-}
-
 }  // namespace tafloc

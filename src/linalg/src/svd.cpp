@@ -203,9 +203,4 @@ double SvdResult::nuclear_norm() const noexcept {
   return s;
 }
 
-Matrix truncated_svd_approximation(const Matrix& a, std::size_t rank) {
-  TAFLOC_CHECK_ARG(rank > 0, "truncation rank must be positive");
-  return svd_decompose(a).reconstruct(rank);
-}
-
 }  // namespace tafloc

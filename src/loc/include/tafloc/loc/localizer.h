@@ -5,9 +5,7 @@
 
 #include <span>
 #include <string>
-#include <vector>
 
-#include "tafloc/linalg/matrix.h"
 #include "tafloc/rf/geometry.h"
 
 namespace tafloc {
@@ -19,15 +17,6 @@ class Localizer {
   /// Estimate the target position from one real-time RSS vector
   /// (one entry per link, same link order as the deployment).
   virtual Point2 localize(std::span<const double> rss) const = 0;
-
-  /// Estimate positions for a batch of observations.  Overrides may
-  /// process queries concurrently but must return exactly what
-  /// element-wise localize() calls would; this default is sequential.
-  virtual std::vector<Point2> localize_batch(std::span<const Vector> rss_batch) const {
-    std::vector<Point2> out(rss_batch.size());
-    for (std::size_t i = 0; i < rss_batch.size(); ++i) out[i] = localize(rss_batch[i]);
-    return out;
-  }
 
   /// Human-readable system name for reports.
   virtual std::string name() const = 0;

@@ -1,27 +1,23 @@
-// Fingerprint matchers: estimate the target location by comparing a
+// Fingerprint matcher: estimate the target location by comparing a
 // real-time RSS vector Y against the columns of the fingerprint matrix
 // (paper section 2, last paragraph).
 //
-// Three matchers, all implementing Localizer:
-//  - NnMatcher:  nearest column, returns that grid's centre (coarse).
-//  - KnnMatcher: inverse-distance weighted centroid of the k nearest
-//    grids -- sub-grid ("fine-grained") estimates; TafLoc's default.
-//  - BayesMatcher: Gaussian-likelihood posterior mean over all grids.
+// KnnMatcher implements Localizer: the inverse-distance weighted
+// centroid of the k nearest grids -- sub-grid ("fine-grained")
+// estimates; with k = 1 it is a nearest-neighbour match.
 //
-// Each matcher reads fingerprints through a ConstMatrixView, so it can
-// either own its matrix (the Matrix constructors move one in) or
-// borrow the caller's storage zero-copy (the view constructors; the
+// The matcher reads fingerprints through a ConstMatrixView, so it can
+// either own its matrix (the Matrix constructor moves one in) or
+// borrow the caller's storage zero-copy (the view constructor; the
 // caller must keep that storage alive and unreallocated -- see view.h).
-// Fault tolerance: NnMatcher and KnnMatcher optionally consult a
-// LinkHealth mask (attach_link_health).  Dead links are excluded from
-// the distance scan and the remaining sum is renormalized by the
-// surviving link count, so distances stay on the full-deployment scale
-// and the match degrades instead of aborting on a NaN from a dead
-// link.  With no mask attached -- or a mask with every link usable --
-// the scan takes the exact pre-mask code path, so results are
-// bit-identical to a maskless build.  BayesMatcher keeps the strict
-// all-links contract (its posterior is calibrated against the full
-// link set); route degraded traffic through NN/KNN.
+// Fault tolerance: the matcher optionally consults a LinkHealth mask
+// (attach_link_health).  Dead links are excluded from the distance
+// scan and the remaining sum is renormalized by the surviving link
+// count, so distances stay on the full-deployment scale and the match
+// degrades instead of aborting on a NaN from a dead link.  With no mask
+// attached -- or a mask with every link usable -- the scan takes the
+// exact pre-mask code path, so results are bit-identical to a maskless
+// build.
 //
 // Two-tier scan: KnnMatcher can additionally attach a QuantizedTier
 // (attach_quantized_tier).  Queries then rank every grid with an int8
@@ -35,6 +31,7 @@
 
 #include <cstddef>
 #include <span>
+#include <vector>
 
 #include "tafloc/fingerprint/link_health.h"
 #include "tafloc/fingerprint/quantized.h"
@@ -86,31 +83,6 @@ class FingerprintRef {
   ConstMatrixView view_;
 };
 
-/// Nearest-neighbour matcher.
-class NnMatcher : public Localizer {
- public:
-  /// `fingerprints` is M x N with one column per grid of `grid`.
-  NnMatcher(Matrix fingerprints, GridMap grid);
-  /// Borrowing variant: the viewed storage must outlive the matcher.
-  NnMatcher(ConstMatrixView fingerprints, GridMap grid);
-
-  Point2 localize(std::span<const double> rss) const override;
-  std::string name() const override { return "NN"; }
-
-  /// Index of the best-matching grid (exposed for tests).
-  std::size_t nearest_grid(std::span<const double> rss) const;
-
-  /// Consult `health` (not owned; must outlive the matcher) when
-  /// scanning: dead links are skipped and the distance renormalized.
-  /// nullptr detaches (strict all-links contract, the default).
-  void attach_link_health(const LinkHealth* health) noexcept { health_ = health; }
-
- private:
-  FingerprintRef fingerprints_;
-  GridMap grid_;
-  const LinkHealth* health_ = nullptr;
-};
-
 /// k-nearest-neighbour matcher with inverse-distance weighting and a
 /// spatial gate: fingerprint-space neighbours are only averaged into
 /// the estimate if they are also spatially near the best match --
@@ -131,9 +103,6 @@ class KnnMatcher : public Localizer {
   /// localize() that also reports per-query diagnostics (spatial-gate
   /// drops, link count, centroid fallback); stats may be nullptr.
   Point2 localize(std::span<const double> rss, MatchStats* stats) const;
-  /// Parallelizes over queries (and the per-query column scan when the
-  /// batch is small); same results as sequential localize() calls.
-  std::vector<Point2> localize_batch(std::span<const Vector> rss_batch) const override;
   std::string name() const override;
 
   /// Consult `health` (not owned; must outlive the matcher) when
@@ -185,7 +154,7 @@ class KnnMatcher : public Localizer {
   static std::size_t scratch_allocations() noexcept;
 
   /// Point loc.knn.* metrics at `registry` (per-query latency
-  /// histogram, query/batch counters, scratch-allocation mirror).  The
+  /// histogram, query counters, scratch-allocation mirror).  The
   /// metric handles are resolved once here -- the per-query path does a
   /// clock read plus relaxed atomics, never a registry lookup.  nullptr
   /// or a disabled registry detaches (zero overhead, same results).
@@ -210,34 +179,11 @@ class KnnMatcher : public Localizer {
   MetricRegistry* telemetry_ = nullptr;
   Histogram* query_hist_ = nullptr;
   Counter* query_counter_ = nullptr;
-  Histogram* batch_hist_ = nullptr;
-  Counter* batch_query_counter_ = nullptr;
   Counter* scratch_alloc_counter_ = nullptr;
   Counter* gated_counter_ = nullptr;
   Counter* fallback_counter_ = nullptr;
   Counter* prepass_counter_ = nullptr;
   Counter* widen_counter_ = nullptr;
-};
-
-/// Gaussian-likelihood matcher: p(Y | grid j) ~ exp(-||Y - x_j||^2 /
-/// (2 sigma^2 M)); the estimate is the posterior-probability-weighted
-/// centroid.
-class BayesMatcher : public Localizer {
- public:
-  BayesMatcher(Matrix fingerprints, GridMap grid, double sigma_db = 2.0);
-  /// Borrowing variant: the viewed storage must outlive the matcher.
-  BayesMatcher(ConstMatrixView fingerprints, GridMap grid, double sigma_db = 2.0);
-
-  Point2 localize(std::span<const double> rss) const override;
-  std::string name() const override { return "Bayes"; }
-
-  /// Posterior over grids for a given observation (sums to 1; tests).
-  Vector posterior(std::span<const double> rss) const;
-
- private:
-  FingerprintRef fingerprints_;
-  GridMap grid_;
-  double sigma_;
 };
 
 }  // namespace tafloc

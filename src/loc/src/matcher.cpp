@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <memory>
 
 #include "tafloc/exec/thread_pool.h"
@@ -100,7 +99,7 @@ bool usable_entries_finite(std::span<const double> rss, std::span<const std::uin
   return true;
 }
 
-/// The observation contract of the NN and KNN scans under a resolved mask.
+/// The observation contract of the scan under a resolved mask.
 void check_observation(std::span<const double> rss, const LinkHealth* mask) {
   if (mask == nullptr) {
     TAFLOC_CHECK_ARG(all_finite(rss), "observation contains non-finite values");
@@ -115,9 +114,9 @@ using Neighbor = KnnMatcher::Neighbor;
 /// Per-thread KNN scratch: the ranked grids (every grid on the float
 /// scan, the re-ranked candidates on the two-tier scan) plus the
 /// quantized pre-pass buffers (query levels, padded mask, per-link
-/// residuals, packed keys).  thread_local so concurrent localize_batch
-/// lanes never contend; grows monotonically, so queries after the first
-/// on a thread allocate nothing.
+/// residuals, packed keys).  thread_local so matchers queried from
+/// several threads never contend; grows monotonically, so queries after
+/// the first on a thread allocate nothing.
 struct KnnScratch {
   std::vector<Neighbor> ranked;
   std::vector<std::int8_t> qvalues;
@@ -301,41 +300,6 @@ std::span<const Neighbor> quantized_scan(ConstMatrixView fp, std::span<const dou
 
 }  // namespace
 
-// ---------------- NnMatcher ----------------
-
-NnMatcher::NnMatcher(Matrix fingerprints, GridMap grid)
-    : fingerprints_(std::move(fingerprints)), grid_(std::move(grid)) {
-  validate_shapes(fingerprints_.view(), grid_);
-}
-
-NnMatcher::NnMatcher(ConstMatrixView fingerprints, GridMap grid)
-    : fingerprints_(fingerprints), grid_(std::move(grid)) {
-  validate_shapes(fingerprints_.view(), grid_);
-}
-
-std::size_t NnMatcher::nearest_grid(std::span<const double> rss) const {
-  const ConstMatrixView fp = fingerprints_.view();
-  TAFLOC_CHECK_ARG(rss.size() == fp.rows(), "observation length mismatch");
-  const LinkHealth* mask = active_mask(health_, fp);
-  check_observation(rss, mask);
-  std::size_t best = 0;
-  double best_d = 0.0;
-  column_distances_sq(fp, rss, scan_mask(mask, fp.rows()), fp.cols(), ColumnRange{0},
-                      [&](std::size_t j, double d) {
-                        if (j == 0 || d < best_d) {
-                          best_d = d;
-                          best = j;
-                        }
-                      });
-  return best;
-}
-
-Point2 NnMatcher::localize(std::span<const double> rss) const {
-  return grid_.center(nearest_grid(rss));
-}
-
-// ---------------- KnnMatcher ----------------
-
 KnnMatcher::KnnMatcher(Matrix fingerprints, GridMap grid, std::size_t k, bool weighted,
                        double spatial_gate_m)
     : fingerprints_(std::move(fingerprints)),
@@ -372,8 +336,6 @@ void KnnMatcher::attach_telemetry(MetricRegistry* registry) {
   telemetry_ = (registry != nullptr && registry->enabled()) ? registry : nullptr;
   query_hist_ = registry_histogram(telemetry_, "loc.knn.query_seconds");
   query_counter_ = registry_counter(telemetry_, "loc.knn.queries");
-  batch_hist_ = registry_histogram(telemetry_, "loc.knn.batch_seconds");
-  batch_query_counter_ = registry_counter(telemetry_, "loc.knn.batch_queries");
   scratch_alloc_counter_ = registry_counter(telemetry_, "loc.knn.scratch_allocations");
   gated_counter_ = registry_counter(telemetry_, "loc.knn.gated_neighbors");
   fallback_counter_ = registry_counter(telemetry_, "loc.knn.centroid_fallbacks");
@@ -494,68 +456,6 @@ Point2 KnnMatcher::localize(std::span<const double> rss, MatchStats* stats) cons
   }
   if (fallback) return anchor;
   return {wx / wsum, wy / wsum};
-}
-
-std::vector<Point2> KnnMatcher::localize_batch(std::span<const Vector> rss_batch) const {
-  const std::uint64_t t0 = telemetry_ != nullptr ? telemetry_->now_ns() : 0;
-  std::vector<Point2> out(rss_batch.size());
-  // One query per chunk: each output slot is written by exactly one
-  // lane, and the inner column scan runs inline inside pool tasks (each
-  // lane on its own thread-local scratch).
-  ThreadPool::global().parallel_for(0, rss_batch.size(), 1, [&](std::size_t b0, std::size_t b1) {
-    for (std::size_t i = b0; i < b1; ++i) out[i] = localize(rss_batch[i]);
-  });
-  if (telemetry_ != nullptr) {
-    batch_hist_->observe(static_cast<double>(telemetry_->now_ns() - t0) * 1e-9);
-    batch_query_counter_->add(rss_batch.size());
-  }
-  return out;
-}
-
-// ---------------- BayesMatcher ----------------
-
-BayesMatcher::BayesMatcher(Matrix fingerprints, GridMap grid, double sigma_db)
-    : fingerprints_(std::move(fingerprints)), grid_(std::move(grid)), sigma_(sigma_db) {
-  validate_shapes(fingerprints_.view(), grid_);
-  TAFLOC_CHECK_ARG(sigma_ > 0.0, "likelihood sigma must be positive");
-}
-
-BayesMatcher::BayesMatcher(ConstMatrixView fingerprints, GridMap grid, double sigma_db)
-    : fingerprints_(fingerprints), grid_(std::move(grid)), sigma_(sigma_db) {
-  validate_shapes(fingerprints_.view(), grid_);
-  TAFLOC_CHECK_ARG(sigma_ > 0.0, "likelihood sigma must be positive");
-}
-
-Vector BayesMatcher::posterior(std::span<const double> rss) const {
-  const ConstMatrixView fp = fingerprints_.view();
-  TAFLOC_CHECK_ARG(rss.size() == fp.rows(), "observation length mismatch");
-  TAFLOC_CHECK_ARG(all_finite(rss), "observation contains non-finite values");
-  const std::size_t n = fp.cols();
-  const double m = static_cast<double>(fp.rows());
-  Vector log_lik(n);
-  double max_ll = -std::numeric_limits<double>::infinity();
-  column_distances_sq(fp, rss, {}, n, ColumnRange{0}, [&](std::size_t j, double d) {
-    log_lik[j] = -d / (2.0 * sigma_ * sigma_ * m);
-    max_ll = std::max(max_ll, log_lik[j]);
-  });
-  double z = 0.0;
-  for (std::size_t j = 0; j < n; ++j) {
-    log_lik[j] = std::exp(log_lik[j] - max_ll);  // now an unnormalized probability
-    z += log_lik[j];
-  }
-  for (double& p : log_lik) p /= z;
-  return log_lik;
-}
-
-Point2 BayesMatcher::localize(std::span<const double> rss) const {
-  const Vector post = posterior(rss);
-  double wx = 0.0, wy = 0.0;
-  for (std::size_t j = 0; j < post.size(); ++j) {
-    const Point2 c = grid_.center(j);
-    wx += post[j] * c.x;
-    wy += post[j] * c.y;
-  }
-  return {wx, wy};
 }
 
 }  // namespace tafloc

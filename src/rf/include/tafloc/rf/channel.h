@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "tafloc/rf/drift.h"
@@ -79,18 +78,8 @@ class Channel {
   /// optional device-free target present at `target`.
   double expected_rss(std::size_t link, std::optional<Point2> target, double t_days) const;
 
-  /// Noise-free expected RSS with SEVERAL device-free targets present
-  /// (their responses add in dB -- a good approximation for separated
-  /// bodies).  An empty span equals the ambient RSS.
-  double expected_rss_multi(std::size_t link, std::span<const Point2> targets,
-                            double t_days) const;
-
   /// One noisy measurement.
   double measure(std::size_t link, std::optional<Point2> target, double t_days, Rng& rng) const;
-
-  /// One noisy measurement with several targets present.
-  double measure_multi(std::size_t link, std::span<const Point2> targets, double t_days,
-                       Rng& rng) const;
 
   /// Mean of `samples` noisy measurements (the paper's survey procedure
   /// averages 100 one-per-second samples per grid).

@@ -76,19 +76,6 @@ double Channel::expected_rss(std::size_t link, std::optional<Point2> target,
   return rss;
 }
 
-double Channel::expected_rss_multi(std::size_t link, std::span<const Point2> targets,
-                                   double t_days) const {
-  TAFLOC_CHECK_BOUNDS(link, links_.size(), "channel link index");
-  double rss = path_loss_.rss_dbm(links_[link]) + drift_.ambient_offset_db(link, t_days);
-  for (const Point2& target : targets) rss -= target_response_db(link, target, t_days);
-  return rss;
-}
-
-double Channel::measure_multi(std::size_t link, std::span<const Point2> targets, double t_days,
-                              Rng& rng) const {
-  return noise_.corrupt(expected_rss_multi(link, targets, t_days), rng);
-}
-
 double Channel::target_response_db(std::size_t link, Point2 target, double t_days) const {
   TAFLOC_CHECK_BOUNDS(link, links_.size(), "channel link index");
   const Segment& seg = links_[link];

@@ -58,10 +58,6 @@ class FingerprintCollector {
   /// Real-time measurement vector Y (M x 1) for a target at `target`.
   Vector observe(Point2 target, double t_days, Rng& rng) const;
 
-  /// Real-time measurement with several device-free targets present
-  /// (for the multi-target RTI extension; may be empty = ambient).
-  Vector observe_multi(std::span<const Point2> targets, double t_days, Rng& rng) const;
-
   /// Ambient observation (no target), same burst length as observe().
   Vector observe_ambient(double t_days, Rng& rng) const;
 

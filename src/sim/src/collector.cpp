@@ -69,20 +69,6 @@ Vector FingerprintCollector::observe(Point2 target, double t_days, Rng& rng) con
   return y;
 }
 
-Vector FingerprintCollector::observe_multi(std::span<const Point2> targets, double t_days,
-                                           Rng& rng) const {
-  const std::size_t m = deployment_.num_links();
-  Vector y(m, 0.0);
-  for (std::size_t i = 0; i < m; ++i) {
-    double sum = 0.0;
-    for (std::size_t s = 0; s < config_.samples_per_realtime; ++s)
-      sum += channel_.measure_multi(i, targets, t_days, rng);
-    y[i] = sum / static_cast<double>(config_.samples_per_realtime) +
-           (targets.empty() ? 0.0 : rng.normal(0.0, config_.repeatability_stddev_db));
-  }
-  return y;
-}
-
 Vector FingerprintCollector::observe_ambient(double t_days, Rng& rng) const {
   const std::size_t m = deployment_.num_links();
   Vector y(m);

@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "tafloc/exec/exec_config.h"
 #include "tafloc/fingerprint/database.h"
 #include "tafloc/fingerprint/distortion.h"
 #include "tafloc/fingerprint/reference.h"
@@ -72,10 +71,6 @@ struct TafLocConfig {
   /// Initial re-rank candidate budget as a multiple of knn_k (see
   /// KnnMatcher::set_rerank_multiplier).  Speed knob only.
   std::size_t knn_rerank_alpha = 4;
-  /// Execution-core settings: threads == 0 leaves the process-wide pool
-  /// alone (TAFLOC_THREADS env or hardware concurrency); threads == 1
-  /// forces the sequential legacy path.  Applied at system construction.
-  ExecConfig exec;
   /// Observability settings.  Each system owns its own MetricRegistry
   /// (no process-wide telemetry state); with enabled == false the
   /// registry stays inert and every instrumented path short-circuits.
@@ -185,9 +180,6 @@ class TafLocSystem : public Localizer {
 
   // -- Localizer interface --
   Point2 localize(std::span<const double> rss) const override;
-  /// Batched localization through the matcher's parallel scan; results
-  /// match element-wise localize() calls exactly.
-  std::vector<Point2> localize_batch(std::span<const Vector> rss_batch) const override;
   std::string name() const override { return "TafLoc"; }
 
   /// One degraded-mode answer: the estimate plus how much of the

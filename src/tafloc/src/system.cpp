@@ -35,12 +35,6 @@ TafLocSystem::TafLocSystem(const Deployment& deployment, const TafLocConfig& con
       degraded_fraction_(registry_gauge(telemetry_.get(), "system.degraded_fraction")) {
   TAFLOC_CHECK_ARG(config.knn_k >= 1, "knn k must be at least 1");
   TAFLOC_CHECK_ARG(config.knn_rerank_alpha >= 1, "knn re-rank multiplier must be at least 1");
-  if (config_.exec.threads != 0) set_global_threads(config_.exec.threads);
-  // Kernel backend selection is process-wide like the thread pool:
-  // kAuto leaves the resolved default (TAFLOC_KERNEL_BACKEND env, else
-  // CPU detection) alone; an explicit request pins it.
-  if (config_.exec.kernel_backend != KernelBackend::kAuto)
-    set_kernel_backend(config_.exec.kernel_backend);
   if (telemetry_->enabled())
     telemetry_->gauge("kernel.backend")
         .set(static_cast<double>(static_cast<int>(active_kernel_backend())));
@@ -285,11 +279,6 @@ bool TafLocSystem::quantized_tier_active() const noexcept {
 Point2 TafLocSystem::localize(std::span<const double> rss) const {
   TAFLOC_CHECK_STATE(matcher_ != nullptr, "localize() requires a prior calibrate()");
   return matcher_->localize(rss);
-}
-
-std::vector<Point2> TafLocSystem::localize_batch(std::span<const Vector> rss_batch) const {
-  TAFLOC_CHECK_STATE(matcher_ != nullptr, "localize_batch() requires a prior calibrate()");
-  return matcher_->localize_batch(rss_batch);
 }
 
 TafLocSystem::DegradedResult TafLocSystem::localize_degraded(std::span<const double> rss) {

@@ -117,96 +117,6 @@ TEST_F(RtiTest, RejectsWrongObservationLength) {
   EXPECT_THROW(rti.localize(bad), std::invalid_argument);
 }
 
-/// A channel with mild multipath: with TWO bodies the ghost responses
-/// add up and (realistically) wreck the tomographic image, so the blob
-/// mechanism is tested where the linear model approximately holds.
-Scenario gentle_scenario(std::uint64_t seed) {
-  ChannelConfig cfg;
-  cfg.multipath_ghost_db = 0.4;
-  cfg.static_ripple_db = 0.4;
-  return Scenario(Deployment::paper_room(), cfg, seed);
-}
-
-TEST(RtiMultiTarget, FindsTwoSeparatedPeople) {
-  const Scenario s = gentle_scenario(31);
-  Rng rng(31);
-  const Vector ambient = s.collector().ambient_scan(0.0, rng);
-  const RtiLocalizer rti(s.deployment(), ambient);
-  // Two targets sharing a horizontal band: no cross-ambiguity (see the
-  // CrossAmbiguity test below for the degenerate rectangle case).
-  const std::vector<Point2> targets{{1.5, 2.4}, {5.7, 2.4}};
-  const Vector y = s.collector().observe_multi(targets, 0.0, rng);
-  const auto found = rti.localize_multi(y, 2);
-  ASSERT_GE(found.size(), 1u);
-  for (const Point2& truth : targets) {
-    double best = 1e9;
-    for (const Point2& est : found) best = std::min(best, distance(est, truth));
-    EXPECT_LT(best, 2.0) << "missed target at (" << truth.x << ", " << truth.y << ")";
-  }
-}
-
-TEST(RtiMultiTarget, CrossAmbiguityBlobsLandOnIntersections) {
-  // Two targets at opposite rectangle corners: with (near-)orthogonal
-  // link bands, tomography cannot tell {(x1,y1),(x2,y2)} from
-  // {(x1,y2),(x2,y1)} -- the blobs must land near SOME of the four band
-  // intersections, which is the documented behaviour, not a bug.
-  const Scenario s = gentle_scenario(32);
-  Rng rng(32);
-  const Vector ambient = s.collector().ambient_scan(0.0, rng);
-  const RtiLocalizer rti(s.deployment(), ambient);
-  const std::vector<Point2> targets{{1.5, 1.2}, {5.7, 3.6}};
-  const Vector y = s.collector().observe_multi(targets, 0.0, rng);
-  const auto found = rti.localize_multi(y, 2);
-  ASSERT_GE(found.size(), 1u);
-
-  const Point2 candidates[] = {{1.5, 1.2}, {5.7, 3.6}, {1.5, 3.6}, {5.7, 1.2}};
-  for (const Point2& est : found) {
-    double best = 1e9;
-    for (const Point2& c : candidates) best = std::min(best, distance(est, c));
-    EXPECT_LT(best, 2.0) << "blob at (" << est.x << ", " << est.y
-                         << ") is not near any band intersection";
-  }
-}
-
-TEST_F(RtiTest, MultiTargetEmptyRoomFindsLittle) {
-  const RtiLocalizer rti(scenario_.deployment(), ambient_);
-  const std::vector<Point2> none;
-  const Vector y = scenario_.collector().observe_multi(none, 0.0, rng_);
-  const auto found = rti.localize_multi(y, 3);
-  // A noise-only image has no dominant blob structure; whatever blob
-  // survives thresholding is at most a couple of spurious components.
-  EXPECT_LE(found.size(), 3u);
-}
-
-TEST_F(RtiTest, MultiTargetSingleReducesTowardLocalize) {
-  const RtiLocalizer rti(scenario_.deployment(), ambient_);
-  const Point2 target = scenario_.deployment().grid().center(40);
-  const Vector y = scenario_.collector().observe(target, 0.0, rng_);
-  const auto found = rti.localize_multi(y, 1);
-  ASSERT_EQ(found.size(), 1u);
-  EXPECT_LT(distance(found[0], rti.localize(y)), 1.0);
-}
-
-TEST_F(RtiTest, MultiTargetOrderedByBlobWeight) {
-  const RtiLocalizer rti(scenario_.deployment(), ambient_);
-  const std::vector<Point2> targets{{1.5, 1.2}, {5.7, 3.6}};
-  const Vector y = scenario_.collector().observe_multi(targets, 0.0, rng_);
-  const auto two = rti.localize_multi(y, 2);
-  const auto one = rti.localize_multi(y, 1);
-  ASSERT_GE(two.size(), 1u);
-  ASSERT_EQ(one.size(), 1u);
-  // The first (heaviest) blob must be stable under the max_targets cap.
-  EXPECT_LT(distance(two[0], one[0]), 1e-9);
-}
-
-TEST_F(RtiTest, MultiTargetRejectsBadArguments) {
-  const RtiLocalizer rti(scenario_.deployment(), ambient_);
-  const Vector y(10, -40.0);
-  EXPECT_THROW(rti.localize_multi(y, 0), std::invalid_argument);
-  EXPECT_THROW(rti.localize_multi(y, 2, 0.0), std::invalid_argument);
-  EXPECT_THROW(rti.localize_multi(y, 2, 1.0), std::invalid_argument);
-}
-
 TEST_F(RtiTest, NameIsRti) {
   const RtiLocalizer rti(scenario_.deployment(), ambient_);
   EXPECT_EQ(rti.name(), "RTI");

@@ -48,6 +48,13 @@ auto at_threads(std::size_t threads, Fn&& fn) {
   return fn();
 }
 
+/// One localize() call per query, in order (the serving path's shape).
+std::vector<Point2> localize_each(const KnnMatcher& matcher, const std::vector<Vector>& queries) {
+  std::vector<Point2> out;
+  for (const Vector& rss : queries) out.push_back(matcher.localize(rss));
+  return out;
+}
+
 // ---------------- linalg kernels ----------------
 
 TEST(ExecDeterminism, IntoKernelsMatchValueApiBitwise) {
@@ -242,15 +249,15 @@ TEST(ExecDeterminism, KnnBitIdenticalWithTelemetryAttachedAcrossThreadCounts) {
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
     ThreadGuard guard(threads);
-    const std::vector<Point2> expected = plain.localize_batch(batch);
-    const std::vector<Point2> observed = instrumented.localize_batch(batch);
+    const std::vector<Point2> expected = localize_each(plain, batch);
+    const std::vector<Point2> observed = localize_each(instrumented, batch);
     ASSERT_EQ(expected.size(), observed.size());
     for (std::size_t q = 0; q < expected.size(); ++q) {
       EXPECT_EQ(expected[q].x, observed[q].x) << "threads=" << threads << " query " << q;
       EXPECT_EQ(expected[q].y, observed[q].y) << "threads=" << threads << " query " << q;
     }
   }
-  EXPECT_EQ(registry.counter("loc.knn.batch_queries").value(), 2u * 24u);
+  EXPECT_EQ(registry.counter("loc.knn.queries").value(), 2u * 24u);
   EXPECT_EQ(registry.histogram("loc.knn.query_seconds").count(), 2u * 24u);
 }
 
@@ -313,29 +320,6 @@ TEST(ExecDeterminism, KnnPerQueryPathIsAllocationFree) {
   EXPECT_EQ(KnnMatcher::scratch_allocations(), before) << "query widened to every grid";
 }
 
-TEST(ExecDeterminism, LocalizeBatchMatchesSequentialCalls) {
-  Scenario scenario = Scenario::paper_room(9);
-  Rng rng(901);
-  const Matrix fingerprints = scenario.collector().survey_all(0.0, rng);
-  const KnnMatcher matcher(fingerprints, scenario.deployment().grid(), 3);
-
-  std::vector<Vector> batch;
-  for (std::size_t q = 0; q < 32; ++q) {
-    Vector rss(fingerprints.rows());
-    for (double& v : rss) v = rng.normal(-50.0, 5.0);
-    batch.push_back(std::move(rss));
-  }
-
-  ThreadGuard guard(8);
-  const std::vector<Point2> parallel = matcher.localize_batch(batch);
-  ASSERT_EQ(parallel.size(), batch.size());
-  for (std::size_t q = 0; q < batch.size(); ++q) {
-    const Point2 sequential = matcher.localize(batch[q]);
-    EXPECT_EQ(parallel[q].x, sequential.x) << "query " << q;
-    EXPECT_EQ(parallel[q].y, sequential.y) << "query " << q;
-  }
-}
-
 TEST(ExecDeterminism, KnnAllHealthyMaskBitIdenticalAcrossThreadCounts) {
   // Attaching a LinkHealth mask with every link usable must leave the
   // scan on its exact unmasked code path: same bits as no mask, at any
@@ -357,8 +341,8 @@ TEST(ExecDeterminism, KnnAllHealthyMaskBitIdenticalAcrossThreadCounts) {
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
     ThreadGuard guard(threads);
-    const std::vector<Point2> expected = plain.localize_batch(batch);
-    const std::vector<Point2> observed = masked.localize_batch(batch);
+    const std::vector<Point2> expected = localize_each(plain, batch);
+    const std::vector<Point2> observed = localize_each(masked, batch);
     ASSERT_EQ(expected.size(), observed.size());
     for (std::size_t q = 0; q < expected.size(); ++q) {
       EXPECT_EQ(expected[q].x, observed[q].x) << "threads=" << threads << " query " << q;
@@ -385,10 +369,10 @@ TEST(ExecDeterminism, KnnMaskedScanBitIdenticalAcrossThreadCounts) {
   }
 
   const std::vector<Point2> reference =
-      at_threads(1, [&] { return matcher.localize_batch(batch); });
+      at_threads(1, [&] { return localize_each(matcher, batch); });
   for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
     const std::vector<Point2> observed =
-        at_threads(threads, [&] { return matcher.localize_batch(batch); });
+        at_threads(threads, [&] { return localize_each(matcher, batch); });
     ASSERT_EQ(reference.size(), observed.size());
     for (std::size_t q = 0; q < reference.size(); ++q) {
       EXPECT_EQ(reference[q].x, observed[q].x) << "threads=" << threads << " query " << q;

@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cmath>
-#include <numeric>
 #include <stdexcept>
 #include <vector>
 
@@ -75,24 +73,6 @@ TEST(ThreadPool, ExceptionsPropagateToCaller) {
   EXPECT_EQ(count.load(), 10);
 }
 
-TEST(ThreadPool, ReduceMatchesSequentialSumAtAnyPoolSize) {
-  std::vector<double> v(997);
-  for (std::size_t i = 0; i < v.size(); ++i) v[i] = std::sin(static_cast<double>(i)) * 1e3;
-  const auto map = [&](std::size_t lo, std::size_t hi) {
-    double s = 0.0;
-    for (std::size_t i = lo; i < hi; ++i) s += v[i];
-    return s;
-  };
-  const auto combine = [](double a, double b) { return a + b; };
-
-  ThreadPool p1(1);
-  const double r1 = p1.parallel_reduce(0, v.size(), 64, 0.0, map, combine);
-  ThreadPool p8(8);
-  const double r8 = p8.parallel_reduce(0, v.size(), 64, 0.0, map, combine);
-  // Chunk boundaries depend only on the grain: bitwise-equal results.
-  EXPECT_EQ(r1, r8);
-}
-
 TEST(ThreadPool, GlobalPoolResizes) {
   const std::size_t before = global_thread_count();
   set_global_threads(3);
@@ -104,13 +84,11 @@ TEST(ThreadPool, GlobalPoolResizes) {
 }
 
 TEST(ExecConfig, ExplicitThreadCountWins) {
-  ExecConfig c;
-  c.threads = 5;
-  EXPECT_EQ(resolve_thread_count(c), 5u);
+  EXPECT_EQ(resolve_thread_count(5), 5u);
 }
 
 TEST(ExecConfig, AutomaticCountIsAtLeastOne) {
-  EXPECT_GE(resolve_thread_count(ExecConfig{}), 1u);
+  EXPECT_GE(resolve_thread_count(0), 1u);
 }
 
 }  // namespace

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "tafloc/linalg/cholesky.h"
-#include "tafloc/linalg/ops.h"
 #include "tafloc/linalg/svd.h"
 #include "tafloc/loc/matcher.h"
 #include "tafloc/loc/presence.h"
@@ -51,8 +50,7 @@ TEST(FaultInjection, MatchersRejectNanObservations) {
   const Matrix fp = Matrix::from_rows({{-30.0, -40.0, -50.0}});
   const std::vector<double> y{kNan};
   EXPECT_THROW(KnnMatcher(fp, grid, 2).localize(y), std::invalid_argument);
-  EXPECT_THROW(NnMatcher(fp, grid).localize(y), std::invalid_argument);
-  EXPECT_THROW(BayesMatcher(fp, grid).localize(y), std::invalid_argument);
+  EXPECT_THROW(KnnMatcher(fp, grid, 1).localize(y), std::invalid_argument);
 }
 
 TEST(FaultInjection, PresencePipelineFlagsAbsurdObservation) {
@@ -96,11 +94,6 @@ TEST(FaultInjection, SystemRejectsWrongSizedRealtimeVector) {
   EXPECT_THROW(system.localize(too_short), std::invalid_argument);
   const std::vector<double> too_long(20, -40.0);
   EXPECT_THROW(system.localize(too_long), std::invalid_argument);
-}
-
-TEST(FaultInjection, SoftThresholdHandlesInfinities) {
-  EXPECT_DOUBLE_EQ(soft_threshold(kInf, 5.0), kInf);
-  EXPECT_DOUBLE_EQ(soft_threshold(-kInf, 5.0), -kInf);
 }
 
 TEST(FaultInjection, RunningStatsPropagateNanVisibly) {
@@ -245,13 +238,10 @@ TEST(DegradedServing, MaskedMatchersIgnoreDeadLinkGarbage) {
   health.mark_dead(1);
 
   const std::vector<double> y{-49.0, kNan};  // near grid 1 on the live link
-  NnMatcher nn(fp, grid);
-  EXPECT_THROW(nn.localize(y), std::invalid_argument);  // strict path still throws
-  nn.attach_link_health(&health);
-  EXPECT_EQ(nn.nearest_grid(y), 1u);
-
   KnnMatcher knn(fp, grid, 1);
+  EXPECT_THROW(knn.localize(y), std::invalid_argument);  // strict path still throws
   knn.attach_link_health(&health);
+  EXPECT_EQ(knn.nearest_grids(y), std::vector<std::size_t>{1});
   MatchStats stats;
   const Point2 p = knn.localize(y, &stats);
   EXPECT_EQ(stats.links_used, 1u);

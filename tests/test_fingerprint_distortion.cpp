@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "tafloc/rf/geometry.h"
 #include "tafloc/sim/scenario.h"
 
 namespace tafloc {
@@ -18,8 +19,7 @@ TEST(DistortionDetector, RejectsBadConfig) {
   DistortionConfig cfg;
   cfg.rss_drop_threshold_db = 0.0;
   EXPECT_THROW(DistortionDetector{cfg}, std::invalid_argument);
-  cfg = DistortionConfig{};
-  cfg.excess_path_threshold_m = -1.0;
+  cfg.rss_drop_threshold_db = -1.0;
   EXPECT_THROW(DistortionDetector{cfg}, std::invalid_argument);
 }
 
@@ -45,32 +45,23 @@ TEST(DistortionDetector, MasksAreComplementary) {
       EXPECT_DOUBLE_EQ(mask.distorted(i, j) + mask.undistorted(i, j), 1.0);
 }
 
-TEST(DistortionDetector, GeometricMatchesEllipseMembership) {
-  const Deployment d = Deployment::paper_room();
-  DistortionConfig cfg;
-  cfg.excess_path_threshold_m = 0.35;
-  const DistortionMask mask = DistortionDetector(cfg).detect_geometric(d);
-  for (std::size_t i = 0; i < d.num_links(); ++i)
-    for (std::size_t j = 0; j < d.num_grids(); ++j) {
-      const bool inside =
-          excess_path_length(d.grid().center(j), d.links()[i]) < 0.35;
-      EXPECT_DOUBLE_EQ(mask.distorted(i, j), inside ? 1.0 : 0.0);
-    }
-}
-
 TEST(DistortionDetector, GeometricAndDataDrivenLargelyAgree) {
-  // On clean simulated data the two classifications should coincide for
-  // the overwhelming majority of entries.
+  // On clean simulated data the data-driven classification should
+  // coincide with the floor-plan geometry -- a grid centre inside the
+  // link's 0.35 m excess-path ellipse -- for the overwhelming majority
+  // of entries.
   const Scenario s = Scenario::paper_room(2);
   Rng rng(2);
   const Matrix x = s.collector().survey_all(0.0, rng);
   const Vector ambient = s.collector().ambient_scan(0.0, rng);
   const DistortionMask from_data = DistortionDetector().detect_from_data(x, ambient);
-  const DistortionMask from_geom = DistortionDetector().detect_geometric(s.deployment());
+  const Deployment& d = s.deployment();
   std::size_t disagreements = 0;
   for (std::size_t i = 0; i < x.rows(); ++i)
-    for (std::size_t j = 0; j < x.cols(); ++j)
-      if (from_data.distorted(i, j) != from_geom.distorted(i, j)) ++disagreements;
+    for (std::size_t j = 0; j < x.cols(); ++j) {
+      const bool inside = excess_path_length(d.grid().center(j), d.links()[i]) < 0.35;
+      if (from_data.distorted(i, j) != inside) ++disagreements;
+    }
   // Multipath ghost responses make the data-driven detector flag some
   // far-from-LoS entries the geometric test cannot see, so agreement is
   // majority-level, not exact.

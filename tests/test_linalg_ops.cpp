@@ -10,23 +10,17 @@
 namespace tafloc {
 namespace {
 
-TEST(SoftThreshold, ShrinksTowardZero) {
-  EXPECT_DOUBLE_EQ(soft_threshold(5.0, 2.0), 3.0);
-  EXPECT_DOUBLE_EQ(soft_threshold(-5.0, 2.0), -3.0);
-  EXPECT_DOUBLE_EQ(soft_threshold(1.0, 2.0), 0.0);
-  EXPECT_DOUBLE_EQ(soft_threshold(-1.0, 2.0), 0.0);
-  EXPECT_DOUBLE_EQ(soft_threshold(0.0, 2.0), 0.0);
-}
-
-TEST(SoftThreshold, ZeroTauIsIdentity) {
-  EXPECT_DOUBLE_EQ(soft_threshold(3.5, 0.0), 3.5);
-  EXPECT_DOUBLE_EQ(soft_threshold(-3.5, 0.0), -3.5);
+/// singular_value_shrink_into into a fresh matrix.
+Matrix shrink(const Matrix& a, double tau) {
+  Matrix out;
+  singular_value_shrink_into(a, tau, out);
+  return out;
 }
 
 TEST(SingularValueShrink, ShrinksSigmaByTau) {
   const std::vector<double> d{5.0, 3.0, 1.0};
   const Matrix a = Matrix::diagonal(d);
-  const Matrix shrunk = singular_value_shrink(a, 2.0);
+  const Matrix shrunk = shrink(a, 2.0);
   const SvdResult svd = svd_decompose(shrunk);
   EXPECT_NEAR(svd.sigma[0], 3.0, 1e-9);
   EXPECT_NEAR(svd.sigma[1], 1.0, 1e-9);
@@ -36,7 +30,7 @@ TEST(SingularValueShrink, ShrinksSigmaByTau) {
 TEST(SingularValueShrink, LargeTauGivesZeroMatrix) {
   Rng rng(1);
   const Matrix a = random_gaussian(4, 4, rng);
-  const Matrix z = singular_value_shrink(a, 1e6);
+  const Matrix z = shrink(a, 1e6);
   EXPECT_LT(z.max_abs(), 1e-9);
 }
 
@@ -44,46 +38,13 @@ TEST(SingularValueShrink, ReducesRank) {
   Rng rng(2);
   const Matrix a = random_low_rank(8, 8, 4, rng);
   const SvdResult before = svd_decompose(a);
-  const Matrix shrunk = singular_value_shrink(a, before.sigma[2] + 1e-6);
+  const Matrix shrunk = shrink(a, before.sigma[2] + 1e-6);
   EXPECT_LE(numeric_rank(shrunk, 1e-6), 2u);
 }
 
 TEST(SingularValueShrink, RejectsNegativeTau) {
   const Matrix a(2, 2, 1.0);
-  EXPECT_THROW(singular_value_shrink(a, -1.0), std::invalid_argument);
-}
-
-TEST(FirstDifference, KnownShapeAndAction) {
-  const Matrix d = first_difference_operator(4);
-  EXPECT_EQ(d.rows(), 3u);
-  EXPECT_EQ(d.cols(), 4u);
-  const std::vector<double> x{1.0, 3.0, 6.0, 10.0};
-  const Vector dx = multiply(d, x);
-  EXPECT_DOUBLE_EQ(dx[0], 2.0);
-  EXPECT_DOUBLE_EQ(dx[1], 3.0);
-  EXPECT_DOUBLE_EQ(dx[2], 4.0);
-}
-
-TEST(FirstDifference, AnnihilatesConstants) {
-  const Matrix d = first_difference_operator(5);
-  const std::vector<double> x(5, 7.0);
-  const Vector dx = multiply(d, x);
-  for (double v : dx) EXPECT_DOUBLE_EQ(v, 0.0);
-}
-
-TEST(FirstDifference, RejectsTooSmall) {
-  EXPECT_THROW(first_difference_operator(1), std::invalid_argument);
-}
-
-TEST(SecondDifference, AnnihilatesAffineSequences) {
-  const Matrix d = second_difference_operator(5);
-  const std::vector<double> x{1.0, 3.0, 5.0, 7.0, 9.0};  // affine
-  const Vector dx = multiply(d, x);
-  for (double v : dx) EXPECT_NEAR(v, 0.0, 1e-12);
-}
-
-TEST(SecondDifference, RejectsTooSmall) {
-  EXPECT_THROW(second_difference_operator(2), std::invalid_argument);
+  EXPECT_THROW(shrink(a, -1.0), std::invalid_argument);
 }
 
 TEST(NumericRank, MatchesConstruction) {

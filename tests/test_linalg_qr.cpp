@@ -159,26 +159,6 @@ TEST(PivotedQr, QOrthonormal) {
 
 // ---------------- triangular solve ----------------
 
-TEST(TriangularSolve, SolvesKnownSystem) {
-  const Matrix r = Matrix::from_rows({{2.0, 1.0}, {0.0, 4.0}});
-  const std::vector<double> b{4.0, 8.0};
-  const Vector x = solve_upper_triangular(r, b);
-  EXPECT_DOUBLE_EQ(x[1], 2.0);
-  EXPECT_DOUBLE_EQ(x[0], 1.0);
-}
-
-TEST(TriangularSolve, RejectsSingular) {
-  const Matrix r = Matrix::from_rows({{1.0, 1.0}, {0.0, 0.0}});
-  const std::vector<double> b{1.0, 1.0};
-  EXPECT_THROW(solve_upper_triangular(r, b), std::invalid_argument);
-}
-
-TEST(TriangularSolve, RejectsNonSquare) {
-  const Matrix r(2, 3);
-  const std::vector<double> b{1.0, 1.0};
-  EXPECT_THROW(solve_upper_triangular(r, b), std::invalid_argument);
-}
-
 // Parameterized sweep: QR invariants across shapes.
 class QrShapeSweep : public ::testing::TestWithParam<std::pair<std::size_t, std::size_t>> {};
 

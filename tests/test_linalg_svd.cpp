@@ -131,14 +131,6 @@ TEST(Svd, TruncatedReconstructionIsBestApproximation) {
   EXPECT_NEAR((a - rank3).frobenius_norm(), std::sqrt(expect_sq), 1e-8);
 }
 
-TEST(Svd, TruncatedHelperMatchesManualTruncation) {
-  Rng rng(10);
-  const Matrix a = random_gaussian(6, 4, rng);
-  const Matrix t1 = truncated_svd_approximation(a, 2);
-  const Matrix t2 = svd_decompose(a).reconstruct(2);
-  EXPECT_LT(max_abs_diff(t1, t2), 1e-9);
-}
-
 TEST(Svd, RejectsEmptyMatrix) {
   Matrix empty;
   EXPECT_THROW(svd_decompose(empty), std::invalid_argument);

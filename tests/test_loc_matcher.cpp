@@ -17,45 +17,27 @@ struct Toy {
   Matrix fp = Matrix::from_rows({{-30.0, -40.0, -50.0}});
 };
 
-TEST(NnMatcher, PicksClosestColumn) {
+TEST(KnnMatcher, K1PicksClosestColumn) {
   Toy toy;
-  const NnMatcher nn(toy.fp, toy.grid);
+  const KnnMatcher knn(toy.fp, toy.grid, 1);
   const std::vector<double> y{-41.0};
-  EXPECT_EQ(nn.nearest_grid(y), 1u);
-  const Point2 est = nn.localize(y);
+  EXPECT_EQ(knn.nearest_grids(y), std::vector<std::size_t>{1});
+  const Point2 est = knn.localize(y);
   EXPECT_DOUBLE_EQ(est.x, 0.9);
   EXPECT_DOUBLE_EQ(est.y, 0.3);
 }
 
-TEST(NnMatcher, ExactMatch) {
+TEST(KnnMatcher, RejectsWrongObservationLength) {
   Toy toy;
-  const NnMatcher nn(toy.fp, toy.grid);
-  const std::vector<double> y{-50.0};
-  EXPECT_EQ(nn.nearest_grid(y), 2u);
-}
-
-TEST(NnMatcher, RejectsWrongObservationLength) {
-  Toy toy;
-  const NnMatcher nn(toy.fp, toy.grid);
+  const KnnMatcher knn(toy.fp, toy.grid, 1);
   const std::vector<double> y{-40.0, -40.0};
-  EXPECT_THROW(nn.localize(y), std::invalid_argument);
+  EXPECT_THROW(knn.localize(y), std::invalid_argument);
 }
 
-TEST(NnMatcher, RejectsMismatchedShapes) {
+TEST(KnnMatcher, RejectsMismatchedShapes) {
   const GridMap grid(1.8, 0.6, 0.6);
   const Matrix fp(1, 2, 0.0);  // 2 cols for 3 cells
-  EXPECT_THROW(NnMatcher(fp, grid), std::invalid_argument);
-}
-
-TEST(KnnMatcher, K1MatchesNn) {
-  Toy toy;
-  const NnMatcher nn(toy.fp, toy.grid);
-  const KnnMatcher knn(toy.fp, toy.grid, 1);
-  const std::vector<double> y{-44.0};
-  const Point2 a = nn.localize(y);
-  const Point2 b = knn.localize(y);
-  EXPECT_DOUBLE_EQ(a.x, b.x);
-  EXPECT_DOUBLE_EQ(a.y, b.y);
+  EXPECT_THROW(KnnMatcher(fp, grid, 1), std::invalid_argument);
 }
 
 TEST(KnnMatcher, InterpolatesBetweenGrids) {
@@ -153,58 +135,22 @@ TEST(KnnMatcher, NameEncodesVariant) {
   EXPECT_EQ(KnnMatcher(toy.fp, toy.grid, 2, false).name(), "KNN-k2");
 }
 
-TEST(BayesMatcher, PosteriorSumsToOne) {
-  Toy toy;
-  const BayesMatcher bayes(toy.fp, toy.grid, 2.0);
-  const std::vector<double> y{-42.0};
-  const Vector post = bayes.posterior(y);
-  double sum = 0.0;
-  for (double p : post) {
-    EXPECT_GE(p, 0.0);
-    sum += p;
-  }
-  EXPECT_NEAR(sum, 1.0, 1e-12);
-}
-
-TEST(BayesMatcher, PosteriorPeaksAtBestMatch) {
-  Toy toy;
-  const BayesMatcher bayes(toy.fp, toy.grid, 2.0);
-  const std::vector<double> y{-40.2};
-  const Vector post = bayes.posterior(y);
-  EXPECT_GT(post[1], post[0]);
-  EXPECT_GT(post[1], post[2]);
-}
-
-TEST(BayesMatcher, SmallSigmaApproachesNn) {
-  Toy toy;
-  const BayesMatcher bayes(toy.fp, toy.grid, 0.1);
-  const std::vector<double> y{-40.0};
-  const Point2 est = bayes.localize(y);
-  EXPECT_NEAR(est.x, 0.9, 1e-6);
-}
-
-TEST(BayesMatcher, RejectsBadSigma) {
-  Toy toy;
-  EXPECT_THROW(BayesMatcher(toy.fp, toy.grid, 0.0), std::invalid_argument);
-}
-
 TEST(Matchers, LocalizeFreshFingerprintsAccurately) {
-  // End-to-end sanity on the simulated paper room with a fresh DB: all
-  // three matchers localize a grid-centre target to well under a metre.
+  // End-to-end sanity on the simulated paper room with a fresh DB: the
+  // nearest-neighbour (k = 1) and weighted k = 3 matchers localize a
+  // grid-centre target to well under a metre.
   const Scenario s = Scenario::paper_room(20);
   Rng rng(20);
   const Matrix fp = s.collector().survey_all(0.0, rng);
   const GridMap& grid = s.deployment().grid();
-  const NnMatcher nn(fp, grid);
+  const KnnMatcher nearest(fp, grid, 1);
   const KnnMatcher knn(fp, grid, 3);
-  const BayesMatcher bayes(fp, grid, 2.0);
 
   for (std::size_t j : {7u, 40u, 88u}) {
     const Point2 truth = grid.center(j);
     const Vector y = s.collector().observe(truth, 0.0, rng);
-    EXPECT_LT(distance(nn.localize(y), truth), 1.5);
+    EXPECT_LT(distance(nearest.localize(y), truth), 1.5);
     EXPECT_LT(distance(knn.localize(y), truth), 1.5);
-    EXPECT_LT(distance(bayes.localize(y), truth), 1.8);
   }
 }
 
@@ -212,12 +158,10 @@ TEST(Matchers, BorrowingCtorMatchesOwningCtor) {
   // A matcher built over a borrowed view of the fingerprints must
   // behave exactly like one that copied them (toy.fp outlives both).
   Toy toy;
-  const NnMatcher nn_own(toy.fp, toy.grid);
-  const NnMatcher nn_borrow(toy.fp.view(), toy.grid);
   const KnnMatcher knn_own(toy.fp, toy.grid, 2);
   const KnnMatcher knn_borrow(toy.fp.view(), toy.grid, 2);
   const std::vector<double> y{-37.0};
-  EXPECT_EQ(nn_borrow.nearest_grid(y), nn_own.nearest_grid(y));
+  EXPECT_EQ(knn_borrow.nearest_grids(y), knn_own.nearest_grids(y));
   const Point2 a = knn_own.localize(y);
   const Point2 b = knn_borrow.localize(y);
   EXPECT_DOUBLE_EQ(a.x, b.x);
@@ -232,12 +176,13 @@ TEST(Matchers, BorrowingCtorMatchesOwningCtor) {
 
 TEST(Matchers, KnnIsFineGrained) {
   // For an off-centre target, weighted KNN should usually beat plain NN
-  // (which is quantized to grid centres).  Check on aggregate error.
+  // (k = 1 unweighted: quantized to grid centres).  Check on aggregate
+  // error.
   const Scenario s = Scenario::paper_room(21);
   Rng rng(21);
   const Matrix fp = s.collector().survey_all(0.0, rng);
   const GridMap& grid = s.deployment().grid();
-  const NnMatcher nn(fp, grid);
+  const KnnMatcher nn(fp, grid, 1, /*weighted=*/false);
   const KnnMatcher knn(fp, grid, 3);
 
   double nn_total = 0.0, knn_total = 0.0;

@@ -15,10 +15,10 @@ TEST(LocalizationError, IsEuclideanDistance) {
 TEST(EvaluateLocalizer, PairsObservationsWithTruths) {
   const GridMap grid(1.8, 0.6, 0.6);
   const Matrix fp = Matrix::from_rows({{-30.0, -40.0, -50.0}});
-  const NnMatcher nn(fp, grid);
+  const KnnMatcher knn(fp, grid, 1);
   const std::vector<std::vector<double>> obs{{-30.0}, {-50.0}};
   const std::vector<Point2> truths{grid.center(0), grid.center(2)};
-  const auto errors = evaluate_localizer(nn, obs, truths);
+  const auto errors = evaluate_localizer(knn, obs, truths);
   ASSERT_EQ(errors.size(), 2u);
   EXPECT_NEAR(errors[0], 0.0, 1e-12);
   EXPECT_NEAR(errors[1], 0.0, 1e-12);
@@ -27,20 +27,20 @@ TEST(EvaluateLocalizer, PairsObservationsWithTruths) {
 TEST(EvaluateLocalizer, NonZeroErrorForWrongGrid) {
   const GridMap grid(1.8, 0.6, 0.6);
   const Matrix fp = Matrix::from_rows({{-30.0, -40.0, -50.0}});
-  const NnMatcher nn(fp, grid);
+  const KnnMatcher knn(fp, grid, 1);
   const std::vector<std::vector<double>> obs{{-30.0}};
   const std::vector<Point2> truths{grid.center(2)};  // truth is elsewhere
-  const auto errors = evaluate_localizer(nn, obs, truths);
+  const auto errors = evaluate_localizer(knn, obs, truths);
   EXPECT_NEAR(errors[0], 1.2, 1e-12);
 }
 
 TEST(EvaluateLocalizer, RejectsMismatchedSizes) {
   const GridMap grid(1.8, 0.6, 0.6);
   const Matrix fp = Matrix::from_rows({{-30.0, -40.0, -50.0}});
-  const NnMatcher nn(fp, grid);
+  const KnnMatcher knn(fp, grid, 1);
   const std::vector<std::vector<double>> obs{{-30.0}};
   const std::vector<Point2> truths;
-  EXPECT_THROW(evaluate_localizer(nn, obs, truths), std::invalid_argument);
+  EXPECT_THROW(evaluate_localizer(knn, obs, truths), std::invalid_argument);
 }
 
 TEST(SummarizeErrors, KnownSample) {

@@ -198,21 +198,6 @@ TEST(QuantizedMatcher, RerankMultiplierNeverChangesResults) {
   EXPECT_THROW(bad.set_rerank_multiplier(0), std::invalid_argument);
 }
 
-TEST(QuantizedMatcher, BatchMatchesSequential) {
-  Fixture f(16, 12, 8, 14);
-  KnnMatcher exact(f.fingerprints.view(), f.grid, 4);
-  KnnMatcher quantized(f.fingerprints.view(), f.grid, 4);
-  quantized.attach_quantized_tier(&f.tier);
-  const std::vector<Vector> queries = f.make_queries(24, 15);
-  const std::vector<Point2> batch = quantized.localize_batch(queries);
-  ASSERT_EQ(batch.size(), queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const Point2 p = exact.localize(queries[i]);
-    EXPECT_EQ(batch[i].x, p.x) << i;
-    EXPECT_EQ(batch[i].y, p.y) << i;
-  }
-}
-
 TEST(QuantizedMatcher, StaleTierFallsBackToFloatScan) {
   Fixture f(7, 8, 5, 16);
   KnnMatcher matcher(f.fingerprints.view(), f.grid, 3);

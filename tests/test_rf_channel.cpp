@@ -162,25 +162,6 @@ TEST(Channel, TargetResponseNonNegativeNearLos) {
   }
 }
 
-TEST(Channel, MultiTargetResponsesAdd) {
-  const Channel ch(two_links(), ChannelConfig{}, 24);
-  const Point2 a{2.0, 1.0};
-  const Point2 b{4.5, 1.0};
-  const std::vector<Point2> both{a, b};
-  const double ambient = ch.expected_rss(0, std::nullopt, 0.0);
-  const double with_both = ch.expected_rss_multi(0, both, 0.0);
-  const double resp_a = ambient - ch.expected_rss(0, a, 0.0);
-  const double resp_b = ambient - ch.expected_rss(0, b, 0.0);
-  EXPECT_NEAR(ambient - with_both, resp_a + resp_b, 1e-9);
-}
-
-TEST(Channel, MultiTargetEmptyEqualsAmbient) {
-  const Channel ch(two_links(), ChannelConfig{}, 25);
-  const std::vector<Point2> none;
-  EXPECT_DOUBLE_EQ(ch.expected_rss_multi(1, none, 30.0),
-                   ch.expected_rss(1, std::nullopt, 30.0));
-}
-
 TEST(Channel, SensitivitySpreadWithinBounds) {
   // Responses across links to the same on-LoS geometry differ by at
   // most the configured spread (plus ripple).

@@ -536,7 +536,6 @@ TEST(Telemetry, ConcurrentLogLinesNeverInterleave) {
 TEST(Telemetry, SystemSnapshotCoversSchedulerReconAndLocalization) {
   Scenario scenario = Scenario::paper_room(5);
   TafLocConfig config;
-  config.exec.threads = 1;
   TafLocSystem system(scenario.deployment(), config);
   EXPECT_TRUE(system.telemetry().enabled());
 
@@ -595,7 +594,6 @@ TEST(Telemetry, SystemSnapshotCoversSchedulerReconAndLocalization) {
 TEST(Telemetry, DisabledSystemRecordsNothing) {
   Scenario scenario = Scenario::paper_room(6);
   TafLocConfig config;
-  config.exec.threads = 1;
   config.telemetry.enabled = false;
   TafLocSystem system(scenario.deployment(), config);
   EXPECT_FALSE(system.telemetry().enabled());
