@@ -137,8 +137,13 @@ __attribute__((target("avx2"))) void int8_prepass_avx2_impl(const Int8Prepass& p
   }
 }
 
-__attribute__((target("avx2"))) void int8_prepass_avx2(const Int8Prepass& pass, std::size_t j0,
-                                                       std::size_t j1, std::uint64_t* keys) {
+// Starts on a 64-byte boundary so its loops sit at fixed offsets from
+// the CPU's 32-byte fetch blocks: on a 4-CPU Xeon the same machine code
+// placed 16 bytes past a boundary scanned warehouse_scan's 10 MB tier
+// about 6% slower.
+__attribute__((target("avx2"), aligned(64))) void int8_prepass_avx2(const Int8Prepass& pass,
+                                                                    std::size_t j0, std::size_t j1,
+                                                                    std::uint64_t* keys) {
   if (pass.usable == nullptr)
     int8_prepass_avx2_impl<false>(pass, j0, j1, keys);
   else
