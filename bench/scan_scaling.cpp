@@ -11,9 +11,10 @@
 //     two serve bit-identical answers, so the speedup column is the
 //     whole story.  Measured at one thread -- the acceptance bar is the
 //     single-thread win of the representation, not pool scaling.
-//   * backend vs backend: the same quantized scan and the same LoLi-IR
-//     solve under the AVX2 kernel backend and the forced-scalar one
-//     (linalg/backend.h), quantifying what the SIMD kernels buy.
+//   * backend vs backend: the same quantized scan under every kernel
+//     table this CPU runs (linalg/backend.h), one figure per table, and
+//     the same LoLi-IR solve under the default table and the
+//     forced-scalar one, quantifying what each SIMD table buys.
 //
 // Honors TAFLOC_BENCH_SMOKE (tiny sizes, no micro timings) so CI's
 // bench-smoke job exercises every code path in seconds.
@@ -22,6 +23,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -84,8 +86,8 @@ struct ScaleFixture {
 
 struct ScanTimings {
   double float_ns = 0.0;
-  double quantized_ns = 0.0;
-  double scalar_quantized_ns = 0.0;
+  double quantized_ns = 0.0;  ///< on the default backend
+  std::vector<std::pair<KernelBackend, double>> backend_ns;  ///< every supported table
 };
 
 ScanTimings time_scans(const ScaleFixture& f, std::chrono::milliseconds budget) {
@@ -103,16 +105,15 @@ ScanTimings time_scans(const ScaleFixture& f, std::chrono::milliseconds budget) 
 
   ScanTimings t;
   t.float_ns = 1e9 * per_query * seconds_per_op([&] { localize_all(float_matcher); }, budget);
-  t.quantized_ns =
-      1e9 * per_query * seconds_per_op([&] { localize_all(quant_matcher); }, budget);
-  if (cpu_supports_avx2()) {
-    set_kernel_backend(KernelBackend::kScalar);
-    t.scalar_quantized_ns =
+  const KernelBackend active = active_kernel_backend();
+  for (const KernelBackend backend : supported_kernel_backends()) {
+    set_kernel_backend(backend);
+    const double ns =
         1e9 * per_query * seconds_per_op([&] { localize_all(quant_matcher); }, budget);
-    set_kernel_backend(KernelBackend::kAuto);
-  } else {
-    t.scalar_quantized_ns = t.quantized_ns;  // scalar IS the active backend
+    t.backend_ns.emplace_back(backend, ns);
+    if (backend == active) t.quantized_ns = ns;
   }
+  set_kernel_backend(active);
   return t;
 }
 
@@ -204,8 +205,8 @@ void run_json_experiments() {
   const std::size_t threads_before = global_thread_count();
   set_global_threads(1);
 
-  std::printf("=== scan + solve scaling (single thread; avx2=%d, default backend=%s) ===\n",
-              cpu_supports_avx2() ? 1 : 0, kernel_backend_name(active_kernel_backend()));
+  std::printf("=== scan + solve scaling (single thread; default backend=%s) ===\n",
+              kernel_backend_name(active_kernel_backend()));
   std::vector<ConfigResult> results;
   std::uint64_t seed = 1234;
   for (const Dims& g : grids) {
@@ -216,12 +217,12 @@ void run_json_experiments() {
       r.links = links;
       r.scan = time_scans(fixture, budget);
       r.solve = time_solve(fixture, seed * 31);
-      std::printf(
-          "  cells=%6zu links=%4zu  scan: float %10.0f ns  quantized %10.0f ns (%.2fx)  "
-          "scalar-quantized %10.0f ns   solve: %7.3f s  scalar %7.3f s\n",
-          r.cells, r.links, r.scan.float_ns, r.scan.quantized_ns,
-          r.scan.float_ns / r.scan.quantized_ns, r.scan.scalar_quantized_ns, r.solve.seconds,
-          r.solve.scalar_seconds);
+      std::printf("  cells=%6zu links=%4zu  scan: float %10.0f ns  quantized %10.0f ns (%.2fx) ",
+                  r.cells, r.links, r.scan.float_ns, r.scan.quantized_ns,
+                  r.scan.float_ns / r.scan.quantized_ns);
+      for (const auto& [backend, ns] : r.scan.backend_ns)
+        std::printf(" %s %10.0f ns", kernel_backend_name(backend), ns);
+      std::printf("   solve: %7.3f s  scalar %7.3f s\n", r.solve.seconds, r.solve.scalar_seconds);
       results.push_back(r);
     }
   }
@@ -238,9 +239,11 @@ void run_json_experiments() {
          << ",\n     \"scan\": {\"float_ns\": " << r.scan.float_ns
          << ", \"quantized_ns\": " << r.scan.quantized_ns
          << ", \"quantized_speedup\": " << r.scan.float_ns / r.scan.quantized_ns
-         << ", \"scalar_quantized_ns\": " << r.scan.scalar_quantized_ns
-         << ", \"backend_speedup\": " << r.scan.scalar_quantized_ns / r.scan.quantized_ns
-         << "},\n     \"solve\": {\"seconds\": " << r.solve.seconds
+         << ",\n              \"quantized_ns_by_backend\": {";
+    for (std::size_t b = 0; b < r.scan.backend_ns.size(); ++b)
+      json << (b > 0 ? ", " : "") << "\"" << kernel_backend_name(r.scan.backend_ns[b].first)
+           << "\": " << r.scan.backend_ns[b].second;
+    json << "}},\n     \"solve\": {\"seconds\": " << r.solve.seconds
          << ", \"scalar_seconds\": " << r.solve.scalar_seconds
          << ", \"backend_speedup\": " << r.solve.scalar_seconds / r.solve.seconds
          << ", \"outer_iterations\": " << r.solve.iterations << "}}"

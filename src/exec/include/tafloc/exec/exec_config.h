@@ -21,9 +21,10 @@ namespace tafloc {
 /// rules).  An execution knob, not a numerics knob: every backend is
 /// bit-identical to the scalar reference on the same inputs.
 enum class KernelBackend : std::uint8_t {
-  kAuto = 0,    ///< TAFLOC_KERNEL_BACKEND env if set, else best supported.
-  kScalar = 1,  ///< portable reference kernels (any CPU).
-  kAvx2 = 2,    ///< AVX2 vector kernels (requires runtime CPU support).
+  kAuto = 0,        ///< TAFLOC_KERNEL_BACKEND env if set, else best supported.
+  kScalar = 1,      ///< portable reference kernels (any CPU).
+  kAvx2 = 2,        ///< AVX2 vector kernels (requires runtime CPU support).
+  kAvx512Vnni = 3,  ///< AVX2 plus a VNNI int8 pre-pass (needs avx512vnni + avx512vl).
 };
 
 /// Turn a worker thread request into a concrete count >= 1.  0 means

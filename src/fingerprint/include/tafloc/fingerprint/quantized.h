@@ -27,6 +27,12 @@
 //     scale resolves to 1 dB (see util/quantize.h, satellite test in
 //     test_fingerprint_quantized).
 //
+// Beside the levels the tier stores one int64 per cell,
+// int8_cell_term(cell_data(j)) (linalg/backend.h): the cell's share of
+// the dot-form pre-pass, which scores an unmasked query as
+// ||q||^2 + t_j - 2 <q + 128, c_j> -- the same exact integer as the
+// squared-difference sum, for 8 more bytes per cell.
+//
 // Exactness bookkeeping: quantize_observation() reports each usable
 // link's exact quantization residual |x_i - dequantized(x_i)| (clamp
 // excess included).  Stored column entries are in-range by
@@ -35,9 +41,10 @@
 // the matcher's re-rank PROVE its top-k equals the exact float scan's
 // (see matcher.cpp).
 //
-// The tier is derived state: FingerprintDatabase rebuilds it on
-// construction and on every update()/load(), never serializes it, and
-// excludes it from operator==.  A matrix with non-finite entries
+// The tier is derived state: FingerprintDatabase rebuilds it (levels
+// and cell terms together) on construction and on every
+// update()/load(), never serializes it, and excludes it from
+// operator==.  A matrix with non-finite entries
 // (possible mid-fault before dead-row patching) leaves the tier
 // not-ready and the matcher falls back to exact float scans.
 #pragma once
@@ -89,6 +96,10 @@ class QuantizedTier {
     return cells_.data() + base_ + grid * padded_;
   }
 
+  /// int8_cell_term(cell_data(j), padded_links()) for every grid j, the
+  /// Int8Prepass::cell_terms of an unmasked scan; empty when not ready.
+  std::span<const std::int64_t> cell_terms() const noexcept { return terms_; }
+
   /// Level for one value on one link's grid (exposed inline so the
   /// rounding-convention test can pin it against NoiseModel::quantize).
   static std::int8_t quantize_level(double value, double offset, double scale) noexcept {
@@ -120,6 +131,7 @@ class QuantizedTier {
   /// correct, possibly unaligned).
   std::vector<std::int8_t> cells_;
   std::size_t base_ = 0;
+  std::vector<std::int64_t> terms_;  ///< one per grid, see cell_terms().
 };
 
 }  // namespace tafloc

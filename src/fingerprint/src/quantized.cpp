@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 
+#include "tafloc/linalg/backend.h"
 #include "tafloc/util/check.h"
 
 namespace tafloc {
@@ -18,6 +19,7 @@ void QuantizedTier::clear() {
   offsets_.clear();
   cells_.clear();
   base_ = 0;
+  terms_.clear();
 }
 
 void QuantizedTier::rebuild(ConstMatrixView fingerprints) {
@@ -80,6 +82,8 @@ void QuantizedTier::rebuild(ConstMatrixView fingerprints) {
     for (std::size_t j = 0; j < n; ++j)
       cells_[base_ + j * padded_ + i] = quantize_level(row[j], off, scale_);
   }
+  terms_.resize(n);
+  for (std::size_t j = 0; j < n; ++j) terms_[j] = int8_cell_term(cell_data(j), padded_);
 }
 
 void QuantizedTier::quantize_observation(std::span<const double> rss,

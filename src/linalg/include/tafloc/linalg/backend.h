@@ -3,13 +3,17 @@
 // Every `*_into` kernel in matrix.cpp keeps its own loop structure (the
 // blocking, the parallel partitioning, the zero-skips) and dispatches
 // only its innermost row primitive through the process-wide KernelOps
-// table below.  Two tables ship:
+// table below.  Three tables ship:
 //
-//   scalar -- portable reference loops; runs on any CPU.
-//   avx2   -- AVX2 vector loops, selected at runtime via
-//             __builtin_cpu_supports("avx2"); compiled with GCC/Clang
-//             function target attributes, so no special build flags are
-//             needed and non-x86 builds simply never offer it.
+//   scalar     -- portable reference loops; runs on any CPU.
+//   avx2       -- AVX2 vector loops, selected at runtime via
+//                 __builtin_cpu_supports("avx2"); compiled with GCC/Clang
+//                 function target attributes, so no special build flags
+//                 are needed and non-x86 builds simply never offer it.
+//   avx512vnni -- the avx2 table's axpy/hadamard and masked pre-pass,
+//                 plus an unmasked pre-pass that scores cells as one
+//                 vpdpbusd dot product per 32 bytes; offered when the
+//                 CPU reports avx512vnni and avx512vl.
 //
 // Bit-identity contract (the reason this file is small): a backend may
 // only vectorize a primitive when every output element's floating-point
@@ -21,33 +25,55 @@
 //     instructions (never FMA -- a fused contraction rounds once where
 //     mul+add rounds twice, which would break scalar/AVX2 identity).
 //   * The int8 pre-pass is exact integer arithmetic, so any summation
-//     order gives the same answer.
+//     order -- and any exact identity for the same integer -- gives the
+//     same answer.
 //   * Dot-product reductions (matrix-vector multiply, outer_product)
 //     CANNOT be vectorized under this contract -- SIMD lane partial
 //     sums reorder the accumulation -- so they stay scalar in every
 //     backend and are not in this table.
 //
-// Selection: `TAFLOC_KERNEL_BACKEND` (scalar | avx2 | auto) or
-// set_kernel_backend(); kAuto picks the best supported table.  Forcing
-// kScalar reproduces the pre-backend results bit-for-bit -- CI runs the
-// whole test suite that way.
+// Selection: `TAFLOC_KERNEL_BACKEND` (scalar | avx2 | avx512vnni | auto)
+// or set_kernel_backend(); kAuto picks the best supported table, in the
+// order avx512vnni, avx2, scalar.  Forcing kScalar reproduces the
+// pre-backend results bit-for-bit -- CI runs the whole test suite that
+// way.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "tafloc/exec/exec_config.h"
 
 namespace tafloc {
 
 /// The operands of one query's int8 pre-pass over a grid-major tier.
+///
+/// An unmasked pass may score cell j in dot form,
+///
+///   d_j = query_norm_sq + cell_terms[j] - 2 * <query + 128, cell_j>,
+///
+/// which is sum_i (query[i] - cell_j[i])^2 exactly: expand the square,
+/// and the 128 * sum_i cell_j[i] that the shifted query adds to the dot
+/// product is folded into int8_cell_term.  The +128 makes every query
+/// byte unsigned, the operand form of an unsigned-by-signed byte dot
+/// instruction.
 struct Int8Prepass {
   const std::int8_t* query = nullptr;    ///< `padded` bytes, pad bytes 0.
   const std::uint8_t* usable = nullptr;  ///< `padded` bytes (0 = dead), or nullptr: all usable.
   const std::int8_t* cells = nullptr;    ///< cell j at cells + j * padded.
   std::size_t padded = 0;                ///< bytes per cell, a multiple of 32.
   unsigned index_bits = 0;               ///< low key bits holding the cell index.
+  /// int8_cell_term of cell j at cell_terms[j]; required when usable is
+  /// nullptr (a table may score the unmasked pass in dot form).
+  const std::int64_t* cell_terms = nullptr;
+  std::int64_t query_norm_sq = 0;  ///< sum_i query[i]^2 over the padded bytes.
 };
+
+/// The per-cell term of the dot-form pre-pass: sum_i c[i]^2 + 256 *
+/// sum_i c[i] over one cell's `padded` bytes.  The quantized tier
+/// stores one per cell; this is the only place the formula lives.
+std::int64_t int8_cell_term(const std::int8_t* cell, std::size_t padded) noexcept;
 
 /// The dispatch table: one row primitive per hot inner loop.
 struct KernelOps {
@@ -66,6 +92,9 @@ struct KernelOps {
   /// sum over links i of (query[i] - cell_j[i])^2, skipping links with
   /// usable[i] == 0.  The caller guarantees that j fits index_bits and
   /// that the shifted distance fits 64 bits (QuantizedTier checks both).
+  /// scalar and avx2 score every pass as squared differences;
+  /// avx512vnni scores unmasked passes in dot form (Int8Prepass) and
+  /// masked ones as avx2 does.  Every table writes the same keys.
   void (*int8_prepass)(const Int8Prepass& pass, std::size_t j0, std::size_t j1,
                        std::uint64_t* keys);
 };
@@ -74,11 +103,17 @@ struct KernelOps {
 /// builds).
 bool cpu_supports_avx2() noexcept;
 
+/// Every backend this CPU can run, scalar first and the one kAuto picks
+/// last: avx2 needs AVX2, avx512vnni needs AVX2, avx512vnni and
+/// avx512vl (neither on non-x86 builds).
+std::vector<KernelBackend> supported_kernel_backends();
+
 /// Turn a backend request into a concrete choice: kAuto consults the
-/// TAFLOC_KERNEL_BACKEND environment variable (scalar | avx2 | auto;
-/// unset or empty means auto) and falls back to the best supported
-/// table.  Throws std::invalid_argument when the request (explicit or
-/// from the environment) names an unsupported or unknown backend.
+/// TAFLOC_KERNEL_BACKEND environment variable (scalar | avx2 |
+/// avx512vnni | auto; unset or empty means auto) and falls back to the
+/// best supported table.  Throws std::invalid_argument when the request
+/// (explicit or from the environment) names an unsupported or unknown
+/// backend.
 KernelBackend resolve_kernel_backend(KernelBackend requested = KernelBackend::kAuto);
 
 /// Install the process-wide dispatch table (kAuto re-runs the automatic

@@ -9,10 +9,11 @@
 
 namespace tafloc {
 
-/// The AVX2 table, or nullptr when this build/CPU cannot run it
-/// (defined in backend_avx2.cpp so the vector intrinsics live in one
-/// translation unit).
+/// The AVX2 and AVX-512 VNNI tables, or nullptr when this build/CPU
+/// cannot run them (defined in backend_avx2.cpp so the vector
+/// intrinsics live in one translation unit).
 const KernelOps* detail_avx2_kernel_table() noexcept;
+const KernelOps* detail_avx512vnni_kernel_table() noexcept;
 
 namespace {
 
@@ -60,6 +61,7 @@ constexpr KernelOps kScalarOps{KernelBackend::kScalar, "scalar", axpy_scalar, ha
                                int8_prepass_scalar};
 
 const KernelOps* avx2_table() { return detail_avx2_kernel_table(); }
+const KernelOps* avx512vnni_table() { return detail_avx512vnni_kernel_table(); }
 
 /// The process-wide selection.  nullptr = not resolved yet; the first
 /// kernel_ops() call resolves kAuto (environment + CPU detection) once
@@ -73,8 +75,9 @@ KernelBackend env_backend_request() {
   if (value == "auto") return KernelBackend::kAuto;
   if (value == "scalar") return KernelBackend::kScalar;
   if (value == "avx2") return KernelBackend::kAvx2;
+  if (value == "avx512vnni") return KernelBackend::kAvx512Vnni;
   throw std::invalid_argument("TAFLOC_KERNEL_BACKEND='" + value +
-                              "' is not one of auto | scalar | avx2");
+                              "' is not one of auto | scalar | avx2 | avx512vnni");
 }
 
 const KernelOps* table_for(KernelBackend backend) {
@@ -83,6 +86,8 @@ const KernelOps* table_for(KernelBackend backend) {
       return &kScalarOps;
     case KernelBackend::kAvx2:
       return avx2_table();
+    case KernelBackend::kAvx512Vnni:
+      return avx512vnni_table();
     case KernelBackend::kAuto:
       break;
   }
@@ -91,13 +96,25 @@ const KernelOps* table_for(KernelBackend backend) {
 
 }  // namespace
 
+std::int64_t int8_cell_term(const std::int8_t* cell, std::size_t padded) noexcept {
+  std::int64_t term = 0;
+  for (std::size_t i = 0; i < padded; ++i) term += std::int64_t{cell[i]} * (cell[i] + 256);
+  return term;
+}
+
 bool cpu_supports_avx2() noexcept { return avx2_table() != nullptr; }
+
+std::vector<KernelBackend> supported_kernel_backends() {
+  std::vector<KernelBackend> backends{KernelBackend::kScalar};
+  if (cpu_supports_avx2()) backends.push_back(KernelBackend::kAvx2);
+  if (avx512vnni_table() != nullptr) backends.push_back(KernelBackend::kAvx512Vnni);
+  return backends;
+}
 
 KernelBackend resolve_kernel_backend(KernelBackend requested) {
   if (requested == KernelBackend::kAuto) {
     requested = env_backend_request();
-    if (requested == KernelBackend::kAuto)
-      return cpu_supports_avx2() ? KernelBackend::kAvx2 : KernelBackend::kScalar;
+    if (requested == KernelBackend::kAuto) return supported_kernel_backends().back();
   }
   if (table_for(requested) == nullptr)
     throw std::invalid_argument(std::string("kernel backend '") +
@@ -146,6 +163,8 @@ const char* kernel_backend_name(KernelBackend backend) noexcept {
       return "scalar";
     case KernelBackend::kAvx2:
       return "avx2";
+    case KernelBackend::kAvx512Vnni:
+      return "avx512vnni";
   }
   return "unknown";
 }

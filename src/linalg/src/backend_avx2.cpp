@@ -1,9 +1,10 @@
-// The AVX2 kernel table (see backend.h for the bit-identity contract).
+// The AVX2 and AVX-512 VNNI kernel tables (see backend.h for the
+// bit-identity contract).
 //
 // Compiled into every build via GCC/Clang function target attributes --
 // no -mavx2 build flag, so the rest of the binary stays baseline
-// x86-64 (or non-x86) and the table is only handed out after
-// __builtin_cpu_supports("avx2") says the instructions exist.
+// x86-64 (or non-x86) and a table is only handed out after
+// __builtin_cpu_supports says its instructions exist.
 //
 // Floating-point lanes use SEPARATE multiply and add instructions, not
 // FMA: the scalar reference rounds after the multiply and again after
@@ -54,8 +55,15 @@ __attribute__((target("avx2"))) void hadamard_avx2(const double* a, const double
 /// most 4 * 254^2 to each of a cell's 8 int32 lanes, and a whole 2^14
 /// byte chunk sums to at most 2^14 * 254^2 < 2^31 -- so neither the
 /// lanes nor their horizontal total can overflow before the chunk is
-/// widened into the 64-bit total.
+/// widened into the 64-bit total.  The dot form's bound is in
+/// int8_prepass_dot.
 constexpr std::size_t kI8Chunk = std::size_t{1} << 14;
+
+/// An unaligned 32-byte load.
+template <typename T>
+__attribute__((target("avx2"))) inline __m256i load_si256(const T* p) {
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+}
 
 /// Squared differences of one 32-byte step, as 8 int32 lane sums.
 /// |a - b| <= 254 is formed in unsigned bytes as max - min, then
@@ -74,22 +82,24 @@ __attribute__((target("avx2"))) inline __m256i sq_diff_step(__m256i query, const
   return _mm256_add_epi32(_mm256_madd_epi16(lo, lo), _mm256_madd_epi16(hi, hi));
 }
 
-__attribute__((target("avx2"))) inline std::uint64_t hsum_epi32(__m256i v) {
+/// The sum of v's eight int32 lanes (modulo 2^32; the chunking keeps it
+/// exact).
+__attribute__((target("avx2"))) inline std::int32_t hsum_epi32(__m256i v) {
   const __m128i lo = _mm256_castsi256_si128(v);
   const __m128i hi = _mm256_extracti128_si256(v, 1);
   __m128i s = _mm_add_epi32(lo, hi);
   s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(1, 0, 3, 2)));
   s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(2, 3, 0, 1)));
-  return static_cast<std::uint64_t>(static_cast<std::uint32_t>(_mm_cvtsi128_si32(s)));
+  return _mm_cvtsi128_si32(s);
 }
 
-/// Four cells' lane sums reduced to four 64-bit totals in two rounds of
-/// horizontal adds: lane c of the result belongs to cell c.
-__attribute__((target("avx2"))) inline __m256i hsum4_epi32(__m256i a, __m256i b, __m256i c,
+/// Four cells' lane sums reduced to four int32 totals in two rounds of
+/// horizontal adds: lane c of the result belongs to cell c.  Callers
+/// widen them to 64 bits, unsigned or signed as their sums are.
+__attribute__((target("avx2"))) inline __m128i hsum4_epi32(__m256i a, __m256i b, __m256i c,
                                                            __m256i d) {
   const __m256i s = _mm256_hadd_epi32(_mm256_hadd_epi32(a, b), _mm256_hadd_epi32(c, d));
-  const __m128i sum = _mm_add_epi32(_mm256_castsi256_si128(s), _mm256_extracti128_si256(s, 1));
-  return _mm256_cvtepu32_epi64(sum);
+  return _mm_add_epi32(_mm256_castsi256_si128(s), _mm256_extracti128_si256(s, 1));
 }
 
 template <bool kMasked>
@@ -113,7 +123,7 @@ __attribute__((target("avx2"))) void int8_prepass_avx2_impl(const Int8Prepass& p
         a2 = _mm256_add_epi32(a2, sq_diff_step<kMasked>(q, cell + 2 * padded + i, u));
         a3 = _mm256_add_epi32(a3, sq_diff_step<kMasked>(q, cell + 3 * padded + i, u));
       }
-      total = _mm256_add_epi64(total, hsum4_epi32(a0, a1, a2, a3));
+      total = _mm256_add_epi64(total, _mm256_cvtepu32_epi64(hsum4_epi32(a0, a1, a2, a3)));
     }
     const __m256i index = _mm256_add_epi64(_mm256_set1_epi64x(static_cast<long long>(j)),
                                            _mm256_setr_epi64x(0, 1, 2, 3));
@@ -131,7 +141,7 @@ __attribute__((target("avx2"))) void int8_prepass_avx2_impl(const Int8Prepass& p
         acc = _mm256_add_epi32(
             acc, sq_diff_step<kMasked>(q, cell + i, kMasked ? pass.usable + i : nullptr));
       }
-      total += hsum_epi32(acc);
+      total += static_cast<std::uint32_t>(hsum_epi32(acc));
     }
     keys[j] = (total << pass.index_bits) | j;
   }
@@ -140,18 +150,84 @@ __attribute__((target("avx2"))) void int8_prepass_avx2_impl(const Int8Prepass& p
 // Starts on a 64-byte boundary so its loops sit at fixed offsets from
 // the CPU's 32-byte fetch blocks: on a 4-CPU Xeon the same machine code
 // placed 16 bytes past a boundary scanned warehouse_scan's 10 MB tier
-// about 6% slower.
-__attribute__((target("avx2"), aligned(64))) void int8_prepass_avx2(const Int8Prepass& pass,
-                                                                    std::size_t j0, std::size_t j1,
-                                                                    std::uint64_t* keys) {
+// about 6% slower.  Not inlined into the VNNI table's masked path, so
+// both loops stay inlined here, under the pin, at -O2 too.
+__attribute__((target("avx2"), aligned(64), noinline)) void int8_prepass_avx2(
+    const Int8Prepass& pass, std::size_t j0, std::size_t j1, std::uint64_t* keys) {
   if (pass.usable == nullptr)
     int8_prepass_avx2_impl<false>(pass, j0, j1, keys);
   else
     int8_prepass_avx2_impl<true>(pass, j0, j1, keys);
 }
 
+/// The unmasked pre-pass in dot form (see Int8Prepass): the query's
+/// bytes become unsigned q + 128 by flipping their sign bit, once per
+/// 32-byte step for four cells, and one vpdpbusd per cell and step adds
+/// each group of four (q + 128) * c byte products into an int32 lane.
+/// A product is at most 255 * 128 in magnitude, so a kI8Chunk-byte
+/// chunk sums to less than 2^14 * 255 * 128 < 2^31 in every lane and in
+/// its horizontal total.  Those totals are signed, so they widen with
+/// sign extension.
+__attribute__((target("avx2,avx512vnni,avx512vl"))) inline void int8_prepass_dot(
+    const Int8Prepass& pass, std::size_t j0, std::size_t j1, std::uint64_t* keys) {
+  const std::size_t padded = pass.padded;
+  const __m128i shift = _mm_cvtsi32_si128(static_cast<int>(pass.index_bits));
+  const __m256i sign = _mm256_set1_epi8(static_cast<char>(0x80));
+  const __m256i norm = _mm256_set1_epi64x(pass.query_norm_sq);
+  std::size_t j = j0;
+  for (; j + 4 <= j1; j += 4) {
+    const std::int8_t* cell = pass.cells + j * padded;
+    __m256i dot = _mm256_setzero_si256();
+    for (std::size_t i0 = 0; i0 < padded; i0 += kI8Chunk) {
+      const std::size_t i1 = std::min(padded, i0 + kI8Chunk);
+      __m256i a0 = _mm256_setzero_si256(), a1 = a0, a2 = a0, a3 = a0;
+      for (std::size_t i = i0; i < i1; i += 32) {
+        const __m256i q = _mm256_xor_si256(load_si256(pass.query + i), sign);
+        a0 = _mm256_dpbusd_epi32(a0, q, load_si256(cell + i));
+        a1 = _mm256_dpbusd_epi32(a1, q, load_si256(cell + padded + i));
+        a2 = _mm256_dpbusd_epi32(a2, q, load_si256(cell + 2 * padded + i));
+        a3 = _mm256_dpbusd_epi32(a3, q, load_si256(cell + 3 * padded + i));
+      }
+      dot = _mm256_add_epi64(dot, _mm256_cvtepi32_epi64(hsum4_epi32(a0, a1, a2, a3)));
+    }
+    const __m256i dist = _mm256_sub_epi64(_mm256_add_epi64(norm, load_si256(pass.cell_terms + j)),
+                                          _mm256_add_epi64(dot, dot));
+    const __m256i index = _mm256_add_epi64(_mm256_set1_epi64x(static_cast<long long>(j)),
+                                           _mm256_setr_epi64x(0, 1, 2, 3));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(keys + j),
+                        _mm256_or_si256(_mm256_sll_epi64(dist, shift), index));
+  }
+  for (; j < j1; ++j) {  // the last (j1 - j0) mod 4 cells, one at a time
+    const std::int8_t* cell = pass.cells + j * padded;
+    std::int64_t dot = 0;
+    for (std::size_t i0 = 0; i0 < padded; i0 += kI8Chunk) {
+      const std::size_t i1 = std::min(padded, i0 + kI8Chunk);
+      __m256i acc = _mm256_setzero_si256();
+      for (std::size_t i = i0; i < i1; i += 32) {
+        const __m256i q = _mm256_xor_si256(load_si256(pass.query + i), sign);
+        acc = _mm256_dpbusd_epi32(acc, q, load_si256(cell + i));
+      }
+      dot += hsum_epi32(acc);
+    }
+    const std::int64_t dist = pass.query_norm_sq + pass.cell_terms[j] - 2 * dot;
+    keys[j] = (static_cast<std::uint64_t>(dist) << pass.index_bits) | j;
+  }
+}
+
+// Pinned to a 64-byte boundary for the same reason as int8_prepass_avx2.
+__attribute__((target("avx2,avx512vnni,avx512vl"), aligned(64))) void int8_prepass_avx512vnni(
+    const Int8Prepass& pass, std::size_t j0, std::size_t j1, std::uint64_t* keys) {
+  if (pass.usable == nullptr)
+    int8_prepass_dot(pass, j0, j1, keys);
+  else
+    int8_prepass_avx2(pass, j0, j1, keys);  // masked: the difference kernel
+}
+
 constexpr KernelOps kAvx2Ops{KernelBackend::kAvx2, "avx2", axpy_avx2, hadamard_avx2,
                              int8_prepass_avx2};
+
+constexpr KernelOps kAvx512VnniOps{KernelBackend::kAvx512Vnni, "avx512vnni", axpy_avx2,
+                                   hadamard_avx2, int8_prepass_avx512vnni};
 
 }  // namespace
 
@@ -159,9 +235,17 @@ const KernelOps* detail_avx2_kernel_table() noexcept {
   return __builtin_cpu_supports("avx2") ? &kAvx2Ops : nullptr;
 }
 
+const KernelOps* detail_avx512vnni_kernel_table() noexcept {
+  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("avx512vnni") &&
+                 __builtin_cpu_supports("avx512vl")
+             ? &kAvx512VnniOps
+             : nullptr;
+}
+
 #else  // TAFLOC_HAVE_AVX2_BACKEND not defined
 
 const KernelOps* detail_avx2_kernel_table() noexcept { return nullptr; }
+const KernelOps* detail_avx512vnni_kernel_table() noexcept { return nullptr; }
 
 #endif
 

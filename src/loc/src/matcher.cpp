@@ -246,8 +246,9 @@ std::span<const Neighbor> quantized_scan(ConstMatrixView fp, std::span<const dou
   {
     TraceStage prepass_stage("loc.prepass");
     const KernelOps& ops = kernel_ops();
-    const Int8Prepass pass{s.qvalues.data(), mask_bytes, tier.cell_data(0), padded,
-                           tier.key_index_bits()};
+    Int8Prepass pass{s.qvalues.data(), mask_bytes, tier.cell_data(0), padded,
+                     tier.key_index_bits(), tier.cell_terms().data()};
+    for (const std::int8_t v : s.qvalues) pass.query_norm_sq += v * v;
     const std::size_t grain =
         std::max<std::size_t>(1, (std::size_t{1} << 15) / std::max<std::size_t>(padded, 1));
     ThreadPool::global().parallel_for(0, n, grain, [&](std::size_t j0, std::size_t j1) {

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "tafloc/fingerprint/database.h"
 #include "tafloc/linalg/ops.h"
@@ -26,6 +28,21 @@ Matrix fixture(std::size_t links, std::size_t grids, std::uint64_t seed) {
   return m;
 }
 
+/// The stored cell terms against a brute-force sum over each cell's
+/// padded bytes: sum c^2 + 256 * sum c, the dot-form pre-pass's t_j.
+void expect_cell_terms_exact(const QuantizedTier& tier) {
+  ASSERT_EQ(tier.cell_terms().size(), tier.num_grids());
+  for (std::size_t j = 0; j < tier.num_grids(); ++j) {
+    std::int64_t squares = 0, sum = 0;
+    for (std::size_t i = 0; i < tier.padded_links(); ++i) {
+      const std::int64_t c = tier.cell_data(j)[i];
+      squares += c * c;
+      sum += c;
+    }
+    EXPECT_EQ(tier.cell_terms()[j], squares + 256 * sum) << "grid " << j;
+  }
+}
+
 TEST(QuantizedTier, ShapeAndZeroPadding) {
   QuantizedTier tier;
   EXPECT_FALSE(tier.ready());
@@ -41,6 +58,18 @@ TEST(QuantizedTier, ShapeAndZeroPadding) {
   }
   tier.clear();
   EXPECT_FALSE(tier.ready());
+}
+
+TEST(QuantizedTier, CellTermsMatchBruteForce) {
+  const Matrix fp = fixture(37, 23, 7);  // 37 links: two 32-byte steps, one padded
+  QuantizedTier tier;
+  tier.rebuild(fp.view());
+  ASSERT_TRUE(tier.ready());
+  expect_cell_terms_exact(tier);
+  const QuantizedTier copy = tier;  // the copy keeps its own terms
+  tier.clear();
+  EXPECT_TRUE(tier.cell_terms().empty());
+  expect_cell_terms_exact(copy);
 }
 
 TEST(QuantizedTier, StoredEntriesWithinHalfLevel) {
@@ -100,9 +129,15 @@ TEST(QuantizedTier, NonFiniteMatrixDisablesTier) {
   QuantizedTier tier;
   tier.rebuild(fp.view());
   EXPECT_FALSE(tier.ready());
+  EXPECT_TRUE(tier.cell_terms().empty());
   fp(2, 3) = -55.0;
   tier.rebuild(fp.view());
   EXPECT_TRUE(tier.ready());
+  expect_cell_terms_exact(tier);
+  fp(0, 5) = std::numeric_limits<double>::infinity();  // a ready tier loses its terms too
+  tier.rebuild(fp.view());
+  EXPECT_FALSE(tier.ready());
+  EXPECT_TRUE(tier.cell_terms().empty());
 }
 
 TEST(QuantizedTier, ConstantMatrixDegeneratesGracefully) {
@@ -136,6 +171,8 @@ TEST(QuantizedTier, DatabaseRebuildsTierOnUpdate) {
   for (std::size_t j = 0; j < wider.cols(); ++j)
     for (std::size_t i = 0; i < fresh.padded_links(); ++i)
       ASSERT_EQ(db.quantized_tier().cell_data(j)[i], fresh.cell_data(j)[i]);
+  // The cell terms were rebuilt with the levels.
+  expect_cell_terms_exact(db.quantized_tier());
 }
 
 // ---- the shared rounding convention (util/quantize.h) ----

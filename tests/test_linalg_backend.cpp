@@ -44,10 +44,22 @@ struct EnvGuard {
   }
 };
 
+bool supported(KernelBackend backend) {
+  const std::vector<KernelBackend> all = supported_kernel_backends();
+  return std::find(all.begin(), all.end(), backend) != all.end();
+}
+
+/// What kAuto must pick on this CPU: the best table it supports.
+KernelBackend expected_auto() {
+  if (supported(KernelBackend::kAvx512Vnni)) return KernelBackend::kAvx512Vnni;
+  return cpu_supports_avx2() ? KernelBackend::kAvx2 : KernelBackend::kScalar;
+}
+
 TEST(KernelBackend, NamesAreStable) {
   EXPECT_STREQ(kernel_backend_name(KernelBackend::kAuto), "auto");
   EXPECT_STREQ(kernel_backend_name(KernelBackend::kScalar), "scalar");
   EXPECT_STREQ(kernel_backend_name(KernelBackend::kAvx2), "avx2");
+  EXPECT_STREQ(kernel_backend_name(KernelBackend::kAvx512Vnni), "avx512vnni");
 }
 
 TEST(KernelBackend, ExplicitResolution) {
@@ -57,6 +69,19 @@ TEST(KernelBackend, ExplicitResolution) {
   } else {
     EXPECT_THROW(resolve_kernel_backend(KernelBackend::kAvx2), std::invalid_argument);
   }
+  if (supported(KernelBackend::kAvx512Vnni)) {
+    EXPECT_EQ(resolve_kernel_backend(KernelBackend::kAvx512Vnni), KernelBackend::kAvx512Vnni);
+  } else {
+    EXPECT_THROW(resolve_kernel_backend(KernelBackend::kAvx512Vnni), std::invalid_argument);
+  }
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  // The VNNI table is offered exactly where CPUID has its instructions.
+  EXPECT_EQ(supported(KernelBackend::kAvx512Vnni),
+            __builtin_cpu_supports("avx2") && __builtin_cpu_supports("avx512vnni") &&
+                __builtin_cpu_supports("avx512vl"));
+#endif
+  EXPECT_EQ(supported_kernel_backends().front(), KernelBackend::kScalar);
+  EXPECT_EQ(supported(KernelBackend::kAvx2), cpu_supports_avx2());
 }
 
 TEST(KernelBackend, EnvironmentResolution) {
@@ -64,13 +89,16 @@ TEST(KernelBackend, EnvironmentResolution) {
   ::setenv("TAFLOC_KERNEL_BACKEND", "scalar", 1);
   EXPECT_EQ(resolve_kernel_backend(), KernelBackend::kScalar);
   ::setenv("TAFLOC_KERNEL_BACKEND", "auto", 1);
-  EXPECT_EQ(resolve_kernel_backend(),
-            cpu_supports_avx2() ? KernelBackend::kAvx2 : KernelBackend::kScalar);
+  EXPECT_EQ(resolve_kernel_backend(), expected_auto());
+  ::setenv("TAFLOC_KERNEL_BACKEND", "avx512vnni", 1);
+  if (supported(KernelBackend::kAvx512Vnni))
+    EXPECT_EQ(resolve_kernel_backend(), KernelBackend::kAvx512Vnni);
+  else
+    EXPECT_THROW(resolve_kernel_backend(), std::invalid_argument);
   ::setenv("TAFLOC_KERNEL_BACKEND", "sse9000", 1);
   EXPECT_THROW(resolve_kernel_backend(), std::invalid_argument);
   ::unsetenv("TAFLOC_KERNEL_BACKEND");
-  EXPECT_EQ(resolve_kernel_backend(),
-            cpu_supports_avx2() ? KernelBackend::kAvx2 : KernelBackend::kScalar);
+  EXPECT_EQ(resolve_kernel_backend(), expected_auto());
 }
 
 TEST(KernelBackend, SetSelectsActiveTable) {
@@ -83,6 +111,15 @@ TEST(KernelBackend, SetSelectsActiveTable) {
     set_kernel_backend(KernelBackend::kAvx2);
     EXPECT_EQ(active_kernel_backend(), KernelBackend::kAvx2);
   }
+  if (supported(KernelBackend::kAvx512Vnni)) {
+    set_kernel_backend(KernelBackend::kAvx512Vnni);
+    EXPECT_EQ(active_kernel_backend(), KernelBackend::kAvx512Vnni);
+    EXPECT_STREQ(kernel_ops().name, "avx512vnni");
+  }
+  EnvGuard env;
+  ::unsetenv("TAFLOC_KERNEL_BACKEND");
+  set_kernel_backend(KernelBackend::kAuto);
+  EXPECT_EQ(active_kernel_backend(), expected_auto());
 }
 
 TEST(KernelBackend, SpecificTableLookup) {
@@ -90,6 +127,11 @@ TEST(KernelBackend, SpecificTableLookup) {
   EXPECT_THROW(kernel_ops(KernelBackend::kAuto), std::invalid_argument);
   if (!cpu_supports_avx2()) {
     EXPECT_THROW(kernel_ops(KernelBackend::kAvx2), std::invalid_argument);
+  }
+  if (supported(KernelBackend::kAvx512Vnni)) {
+    EXPECT_EQ(kernel_ops(KernelBackend::kAvx512Vnni).id, KernelBackend::kAvx512Vnni);
+  } else {
+    EXPECT_THROW(kernel_ops(KernelBackend::kAvx512Vnni), std::invalid_argument);
   }
 }
 
@@ -151,15 +193,24 @@ struct PrepassCase {
   std::size_t cells = 0;
   std::vector<std::int8_t> query, tier;
   std::vector<std::uint8_t> usable;
+  std::vector<std::int64_t> terms;
 
-  Int8Prepass pass() const {
-    return {query.data(), usable.empty() ? nullptr : usable.data(), tier.data(), padded,
-            static_cast<unsigned>(std::bit_width(cells - 1))};
+  unsigned index_bits() const { return static_cast<unsigned>(std::bit_width(cells - 1)); }
+
+  /// The kernel operands, with the cell terms built as QuantizedTier
+  /// builds them.
+  Int8Prepass pass() {
+    terms.resize(cells);
+    for (std::size_t j = 0; j < cells; ++j) terms[j] = int8_cell_term(&tier[j * padded], padded);
+    Int8Prepass p{query.data(), usable.empty() ? nullptr : usable.data(), tier.data(), padded,
+                  index_bits(), terms.data()};
+    for (const std::int8_t v : query) p.query_norm_sq += v * v;
+    return p;
   }
 
   /// dist_sq_i8_reference per cell, with dead links zeroed on both sides.
   std::vector<std::uint64_t> reference_keys() const {
-    const unsigned bits = pass().index_bits;
+    const unsigned bits = index_bits();
     std::vector<std::uint64_t> keys(cells);
     std::vector<std::int8_t> q = query, c(padded);
     for (std::size_t i = 0; i < padded; ++i)
@@ -194,7 +245,7 @@ PrepassCase random_case(std::size_t padded, std::size_t cells, Rng& rng) {
 /// Keys of every cell from one backend, computed `grain` cells per call
 /// the way the matcher's pool split hands out cell ranges.  A sentinel
 /// past the last cell catches writes outside [j0, j1).
-std::vector<std::uint64_t> prepass_keys(KernelBackend backend, const PrepassCase& pc,
+std::vector<std::uint64_t> prepass_keys(KernelBackend backend, PrepassCase& pc,
                                         std::size_t grain) {
   constexpr std::uint64_t kSentinel = 0xdeadbeefcafef00dULL;
   std::vector<std::uint64_t> keys(pc.cells + 1, kSentinel);
@@ -206,12 +257,10 @@ std::vector<std::uint64_t> prepass_keys(KernelBackend backend, const PrepassCase
   return keys;
 }
 
-/// Every backend, every split: the oracle's keys exactly.
-void expect_prepass_exact(const PrepassCase& pc) {
+/// Every table this CPU runs, every split: the oracle's keys exactly.
+void expect_prepass_exact(PrepassCase pc) {
   const std::vector<std::uint64_t> expected = pc.reference_keys();
-  std::vector<KernelBackend> backends{KernelBackend::kScalar};
-  if (cpu_supports_avx2()) backends.push_back(KernelBackend::kAvx2);
-  for (KernelBackend backend : backends)
+  for (KernelBackend backend : supported_kernel_backends())
     for (std::size_t grain : {pc.cells, std::size_t{1}, std::size_t{3}, std::size_t{4}})
       EXPECT_EQ(prepass_keys(backend, pc, grain), expected)
           << kernel_backend_name(backend) << " padded=" << pc.padded << " cells=" << pc.cells
@@ -229,17 +278,27 @@ TEST(KernelBackend, Int8DistanceExactOnEveryBackend) {
 }
 
 TEST(KernelBackend, Int8DistanceSurvivesWorstCaseAccumulation) {
-  // 20 000 maximal diffs: 20 000 * 254^2 = 1.29e9 overflows int32 --
-  // the chunked accumulation must not.
-  PrepassCase pc;
-  pc.padded = 20000;
-  pc.cells = 5;
-  pc.query.assign(pc.padded, 127);
-  pc.tier.assign(pc.padded * pc.cells, -127);
-  const std::uint64_t expected = static_cast<std::uint64_t>(pc.padded) * 254u * 254u;
-  const std::vector<std::uint64_t> keys = pc.reference_keys();
-  for (std::size_t j = 0; j < pc.cells; ++j) EXPECT_EQ(keys[j] >> pc.pass().index_bits, expected);
-  expect_prepass_exact(pc);
+  // 2^17 + 32 maximal bytes.  254^2 per byte overflows int32 after
+  // 33 286 bytes, and the dot form's 255 * 127 per byte after 66 313 --
+  // the 2^14-byte chunked accumulation must not.  Both signs, since the
+  // dot form sums (q + 128) * c: q = 127 against c = -127 drives every
+  // product to -255 * 127, and q = c = 127 (distance 0) to +255 * 127.
+  struct Fill {
+    std::int8_t q, c;
+    std::uint64_t per_link;
+  };
+  for (const Fill f : {Fill{127, -127, 254u * 254u}, Fill{-127, 127, 254u * 254u},
+                       Fill{127, 127, 0u}}) {
+    PrepassCase pc;
+    pc.padded = (std::size_t{1} << 17) + 32;
+    pc.cells = 5;
+    pc.query.assign(pc.padded, f.q);
+    pc.tier.assign(pc.padded * pc.cells, f.c);
+    const std::uint64_t expected = static_cast<std::uint64_t>(pc.padded) * f.per_link;
+    const std::vector<std::uint64_t> keys = pc.reference_keys();
+    for (std::size_t j = 0; j < pc.cells; ++j) EXPECT_EQ(keys[j] >> pc.index_bits(), expected);
+    expect_prepass_exact(pc);
+  }
 }
 
 TEST(KernelBackend, MaskedInt8DistanceExactOnEveryBackend) {
@@ -251,7 +310,7 @@ TEST(KernelBackend, MaskedInt8DistanceExactOnEveryBackend) {
       for (std::uint8_t& u : pc.usable) u = rng.uniform01() < 0.7 ? 1 : 0;
       expect_prepass_exact(pc);
       pc.usable.assign(padded, 0);  // all dead: every distance 0
-      for (std::uint64_t key : pc.reference_keys()) EXPECT_EQ(key >> pc.pass().index_bits, 0u);
+      for (std::uint64_t key : pc.reference_keys()) EXPECT_EQ(key >> pc.index_bits(), 0u);
       expect_prepass_exact(pc);
     }
   }

@@ -12,6 +12,7 @@
 #include "tafloc/exec/exec_config.h"
 #include "tafloc/fingerprint/link_health.h"
 #include "tafloc/fingerprint/quantized.h"
+#include "tafloc/linalg/backend.h"
 #include "tafloc/linalg/ops.h"
 #include "tafloc/loc/matcher.h"
 #include "tafloc/sim/grid.h"
@@ -31,6 +32,17 @@ class ThreadGuard {
 
  private:
   std::size_t previous_;
+};
+
+/// RAII guard: restore the process-wide kernel backend on exit, so a
+/// test that walks the tables cannot leak its last one into the suite.
+class BackendGuard {
+ public:
+  BackendGuard() : previous_(active_kernel_backend()) {}
+  ~BackendGuard() { set_kernel_backend(previous_); }
+
+ private:
+  KernelBackend previous_;
 };
 
 struct Fixture {
@@ -93,42 +105,56 @@ TEST(QuantizedMatcher, TopKMatchesExactFloatScan) {
   // 41 x 30 cells at 40 links (64 padded bytes): more than twice the
   // pre-pass grain of 2^15 / 64 = 512 cells, so at 4 threads the pool
   // splits the pre-pass (and the float scan) into cell ranges, the last
-  // one not a multiple of the kernel's 4-cell block.
+  // one not a multiple of the kernel's 4-cell block.  Once per kernel
+  // table this CPU runs: each scores the unmasked pre-pass its own way.
   ThreadGuard guard(4);
-  for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
-    for (const auto& [links, w, h] : {std::tuple<std::size_t, std::size_t, std::size_t>{6, 8, 5},
-                                      {33, 12, 8}, {10, 15, 10}, {40, 41, 30}}) {
-      Fixture f(links, w, h, seed);
-      ASSERT_TRUE(f.tier.ready());
-      for (std::size_t k : {1u, 3u, 8u}) {
-        KnnMatcher exact(f.fingerprints.view(), f.grid, k);
-        KnnMatcher quantized(f.fingerprints.view(), f.grid, k);
-        quantized.attach_quantized_tier(&f.tier);
-        ASSERT_TRUE(quantized.quantized_active());
-        for (const Vector& q : f.make_queries(12, seed * 97 + k))
-          expect_identical(exact, quantized, q, "unmasked");
+  BackendGuard backend_guard;
+  for (const KernelBackend backend : supported_kernel_backends()) {
+    set_kernel_backend(backend);
+    SCOPED_TRACE(kernel_backend_name(backend));
+    for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+      for (const auto& [links, w, h] :
+           {std::tuple<std::size_t, std::size_t, std::size_t>{6, 8, 5},
+            {33, 12, 8},
+            {10, 15, 10},
+            {40, 41, 30}}) {
+        Fixture f(links, w, h, seed);
+        ASSERT_TRUE(f.tier.ready());
+        for (std::size_t k : {1u, 3u, 8u}) {
+          KnnMatcher exact(f.fingerprints.view(), f.grid, k);
+          KnnMatcher quantized(f.fingerprints.view(), f.grid, k);
+          quantized.attach_quantized_tier(&f.tier);
+          ASSERT_TRUE(quantized.quantized_active());
+          for (const Vector& q : f.make_queries(12, seed * 97 + k))
+            expect_identical(exact, quantized, q, "unmasked");
+        }
       }
     }
   }
 }
 
 TEST(QuantizedMatcher, MaskedScanMatchesExactFloatScan) {
-  for (std::uint64_t seed : {5u, 6u}) {
-    Fixture f(12, 10, 8, seed);
-    LinkHealth health(12);
-    health.mark_dead(1);
-    health.mark_dead(7);
-    health.mark_suspect(3);
-    ASSERT_LT(health.usable_count(), 12u);
-    KnnMatcher exact(f.fingerprints.view(), f.grid, 4);
-    KnnMatcher quantized(f.fingerprints.view(), f.grid, 4);
-    exact.attach_link_health(&health);
-    quantized.attach_link_health(&health);
-    quantized.attach_quantized_tier(&f.tier);
-    for (Vector q : f.make_queries(10, seed)) {
-      // NaN parked on a dead link: exactly the fault the mask covers.
-      q[1] = std::nan("");
-      expect_identical(exact, quantized, q, "masked");
+  BackendGuard backend_guard;
+  for (const KernelBackend backend : supported_kernel_backends()) {
+    set_kernel_backend(backend);
+    SCOPED_TRACE(kernel_backend_name(backend));
+    for (std::uint64_t seed : {5u, 6u}) {
+      Fixture f(12, 10, 8, seed);
+      LinkHealth health(12);
+      health.mark_dead(1);
+      health.mark_dead(7);
+      health.mark_suspect(3);
+      ASSERT_LT(health.usable_count(), 12u);
+      KnnMatcher exact(f.fingerprints.view(), f.grid, 4);
+      KnnMatcher quantized(f.fingerprints.view(), f.grid, 4);
+      exact.attach_link_health(&health);
+      quantized.attach_link_health(&health);
+      quantized.attach_quantized_tier(&f.tier);
+      for (Vector q : f.make_queries(10, seed)) {
+        // NaN parked on a dead link: exactly the fault the mask covers.
+        q[1] = std::nan("");
+        expect_identical(exact, quantized, q, "masked");
+      }
     }
   }
 }
