@@ -1,25 +1,31 @@
 // Large-grid scaling of the serving hot paths: the KNN fingerprint
 // scan and the LoLi-IR reconstruction solve, at 96 / 2 500 / 20 000
 // grid cells x 128 / 512 links -- the paper room up to warehouse-scale
-// deployments.
+// deployments -- plus recal_under_load's 1 600 cells x 40 links.
 //
-// Two comparisons per configuration, both written to BENCH_scan.json
-// (the CI artefact) before the google-benchmark micro timings run:
+// Per configuration, written to BENCH_scan.json (the CI artefact)
+// before the google-benchmark micro timings run:
 //
 //   * quantized vs float: per-query latency of the exact float column
 //     scan against the int8 pre-pass + exact re-rank (matcher.h).  The
 //     two serve bit-identical answers, so the speedup column is the
 //     whole story.  Measured at one thread -- the acceptance bar is the
 //     single-thread win of the representation, not pool scaling.
-//   * backend vs backend: the same quantized scan under every kernel
-//     table this CPU runs (linalg/backend.h), one figure per table, and
-//     the same LoLi-IR solve under the default table and the
-//     forced-scalar one, quantifying what each SIMD table buys.
+//   * backend vs backend: the same quantized scan, and one full int8
+//     pre-pass over every cell (the kernel alone), under every kernel
+//     table this CPU runs (linalg/backend.h), and the same LoLi-IR solve
+//     under the default table and the forced-scalar one, quantifying
+//     what each SIMD table buys.
+//   * the projection bound (quantized.h): whether the tier built one
+//     (rows of 256 padded links and up), its build time, the scan time
+//     with it, and the median count of cells whose exact int8 key a
+//     query computed -- every cell without the projection.
 //
 // Honors TAFLOC_BENCH_SMOKE (tiny sizes, no micro timings) so CI's
 // bench-smoke job exercises every code path in seconds.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -88,6 +94,10 @@ struct ScanTimings {
   double float_ns = 0.0;
   double quantized_ns = 0.0;  ///< on the default backend
   std::vector<std::pair<KernelBackend, double>> backend_ns;  ///< every supported table
+  std::vector<std::pair<KernelBackend, double>> prepass_ns;  ///< one full pre-pass, every table
+  bool projected = false;
+  double projection_build_ms = 0.0;
+  double survivors_p50 = 0.0;  ///< exact int8 keys per query, default backend
 };
 
 ScanTimings time_scans(const ScaleFixture& f, std::chrono::milliseconds budget) {
@@ -104,6 +114,8 @@ ScanTimings time_scans(const ScaleFixture& f, std::chrono::milliseconds budget) 
   const double per_query = 1.0 / static_cast<double>(f.queries.size());
 
   ScanTimings t;
+  t.projected = tier.projected();
+  t.projection_build_ms = 1e3 * seconds_per_op([&] { tier.rebuild_projection(); }, budget);
   t.float_ns = 1e9 * per_query * seconds_per_op([&] { localize_all(float_matcher); }, budget);
   const KernelBackend active = active_kernel_backend();
   for (const KernelBackend backend : supported_kernel_backends()) {
@@ -114,6 +126,35 @@ ScanTimings time_scans(const ScaleFixture& f, std::chrono::milliseconds budget) 
     if (backend == active) t.quantized_ns = ns;
   }
   set_kernel_backend(active);
+
+  // The kernel alone: one unmasked pre-pass over every cell.
+  std::vector<std::int8_t> levels;
+  std::vector<double> residual;
+  tier.quantize_observation(f.queries.front(), {}, levels, residual);
+  Int8Prepass pass{levels.data(), nullptr, tier.cell_data(0), tier.padded_links(),
+                   tier.key_index_bits(), tier.cell_terms().data()};
+  for (const std::int8_t v : levels) pass.query_norm_sq += v * v;
+  std::vector<std::uint64_t> keys(tier.num_grids());
+  for (const KernelBackend backend : supported_kernel_backends()) {
+    const KernelOps& ops = kernel_ops(backend);
+    t.prepass_ns.emplace_back(backend, 1e9 * seconds_per_op([&] {
+      ops.int8_prepass(pass, 0, keys.size(), keys.data());
+      benchmark::DoNotOptimize(keys.data());
+      benchmark::ClobberMemory();
+    }, budget));
+  }
+
+  MetricRegistry registry;
+  quant_matcher.attach_telemetry(&registry);
+  const Counter& cells = registry.counter("loc.knn.bound_cells");
+  std::vector<double> survivors;
+  for (const Vector& q : f.queries) {
+    const std::uint64_t before = cells.value();
+    benchmark::DoNotOptimize(quant_matcher.localize(q));
+    survivors.push_back(static_cast<double>(cells.value() - before));
+  }
+  std::nth_element(survivors.begin(), survivors.begin() + survivors.size() / 2, survivors.end());
+  t.survivors_p50 = survivors[survivors.size() / 2];
   return t;
 }
 
@@ -188,17 +229,19 @@ void run_json_experiments() {
   using tafloc::bench::smoke_or;
   const auto budget = std::chrono::milliseconds(smoke_or(400, 25));
 
-  // (grid_w, grid_h) pairs: 96 (the paper room's 12 x 8), 2 500, and
-  // 20 000 cells; smoke mode stops at a few hundred.
-  struct Dims {
-    std::size_t w, h;
+  // (grid_w, grid_h, links): 96 (the paper room's 12 x 8), 2 500 and
+  // 20 000 cells at 128 and 512 links -- both sides of the projection's
+  // shape rule -- and recal_under_load's 1 600 x 40.  Smoke mode stops
+  // at a few hundred cells, one config projected.
+  struct Config {
+    std::size_t w, h, links;
   };
-  const std::vector<Dims> full_grids = {{12, 8}, {50, 50}, {160, 125}};
-  const std::vector<Dims> smoke_grids = {{12, 8}, {20, 12}};
-  const std::vector<Dims>& grids = tafloc::bench::smoke_mode() ? smoke_grids : full_grids;
-  const std::vector<std::size_t> link_counts =
-      tafloc::bench::smoke_mode() ? std::vector<std::size_t>{32}
-                                  : std::vector<std::size_t>{128, 512};
+  const std::vector<Config> full_configs = {{12, 8, 128},    {12, 8, 512},    {50, 50, 128},
+                                            {50, 50, 512},   {160, 125, 128}, {160, 125, 512},
+                                            {40, 40, 40}};
+  const std::vector<Config> smoke_configs = {{12, 8, 32}, {20, 12, 32}, {20, 12, 256}};
+  const std::vector<Config>& configs =
+      tafloc::bench::smoke_mode() ? smoke_configs : full_configs;
 
   // Single-thread timings: the acceptance criterion is the win of the
   // int8 representation and the SIMD kernels, not pool scaling.
@@ -209,22 +252,26 @@ void run_json_experiments() {
               kernel_backend_name(active_kernel_backend()));
   std::vector<ConfigResult> results;
   std::uint64_t seed = 1234;
-  for (const Dims& g : grids) {
-    for (std::size_t links : link_counts) {
-      ScaleFixture fixture(g.w, g.h, links, ++seed);
-      ConfigResult r;
-      r.cells = g.w * g.h;
-      r.links = links;
-      r.scan = time_scans(fixture, budget);
-      r.solve = time_solve(fixture, seed * 31);
-      std::printf("  cells=%6zu links=%4zu  scan: float %10.0f ns  quantized %10.0f ns (%.2fx) ",
-                  r.cells, r.links, r.scan.float_ns, r.scan.quantized_ns,
-                  r.scan.float_ns / r.scan.quantized_ns);
-      for (const auto& [backend, ns] : r.scan.backend_ns)
-        std::printf(" %s %10.0f ns", kernel_backend_name(backend), ns);
-      std::printf("   solve: %7.3f s  scalar %7.3f s\n", r.solve.seconds, r.solve.scalar_seconds);
-      results.push_back(r);
-    }
+  for (const Config& c : configs) {
+    ScaleFixture fixture(c.w, c.h, c.links, ++seed);
+    ConfigResult r;
+    r.cells = c.w * c.h;
+    r.links = c.links;
+    r.scan = time_scans(fixture, budget);
+    r.solve = time_solve(fixture, seed * 31);
+    std::printf("  cells=%6zu links=%4zu  scan: float %10.0f ns  quantized %10.0f ns (%.2fx) ",
+                r.cells, r.links, r.scan.float_ns, r.scan.quantized_ns,
+                r.scan.float_ns / r.scan.quantized_ns);
+    for (const auto& [backend, ns] : r.scan.backend_ns)
+      std::printf(" %s %10.0f ns", kernel_backend_name(backend), ns);
+    std::printf("   pre-pass:");
+    for (const auto& [backend, ns] : r.scan.prepass_ns)
+      std::printf(" %s %9.0f ns", kernel_backend_name(backend), ns);
+    std::printf("   projection: %s %.2f ms, %.0f keys/query",
+                r.scan.projected ? "built" : "none", r.scan.projection_build_ms,
+                r.scan.survivors_p50);
+    std::printf("   solve: %7.3f s  scalar %7.3f s\n", r.solve.seconds, r.solve.scalar_seconds);
+    results.push_back(r);
   }
   set_global_threads(threads_before);
 
@@ -235,15 +282,24 @@ void run_json_experiments() {
        << kernel_backend_name(resolve_kernel_backend()) << "\",\n  \"configs\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const ConfigResult& r = results[i];
+    const auto by_backend = [&](const std::vector<std::pair<KernelBackend, double>>& ns) {
+      for (std::size_t b = 0; b < ns.size(); ++b)
+        json << (b > 0 ? ", " : "") << "\"" << kernel_backend_name(ns[b].first)
+             << "\": " << ns[b].second;
+    };
     json << "    {\"cells\": " << r.cells << ", \"links\": " << r.links
          << ",\n     \"scan\": {\"float_ns\": " << r.scan.float_ns
          << ", \"quantized_ns\": " << r.scan.quantized_ns
          << ", \"quantized_speedup\": " << r.scan.float_ns / r.scan.quantized_ns
          << ",\n              \"quantized_ns_by_backend\": {";
-    for (std::size_t b = 0; b < r.scan.backend_ns.size(); ++b)
-      json << (b > 0 ? ", " : "") << "\"" << kernel_backend_name(r.scan.backend_ns[b].first)
-           << "\": " << r.scan.backend_ns[b].second;
-    json << "}},\n     \"solve\": {\"seconds\": " << r.solve.seconds
+    by_backend(r.scan.backend_ns);
+    json << "},\n              \"prepass_ns_by_backend\": {";
+    by_backend(r.scan.prepass_ns);
+    json << "}},\n     \"projection\": {\"built\": " << (r.scan.projected ? "true" : "false")
+         << ", \"build_ms\": " << r.scan.projection_build_ms
+         << ", \"scan_ns\": " << r.scan.quantized_ns
+         << ", \"survivors_p50\": " << r.scan.survivors_p50 << "}"
+         << ",\n     \"solve\": {\"seconds\": " << r.solve.seconds
          << ", \"scalar_seconds\": " << r.solve.scalar_seconds
          << ", \"backend_speedup\": " << r.solve.scalar_seconds / r.solve.seconds
          << ", \"outer_iterations\": " << r.solve.iterations << "}}"

@@ -33,6 +33,18 @@
 // ||q||^2 + t_j - 2 <q + 128, c_j> -- the same exact integer as the
 // squared-difference sum, for 8 more bytes per cell.
 //
+// Beside the levels the tier may also store a rank-kBoundRank integer
+// projection (linalg/backend.h, Int8Bound): an int16 basis B
+// (kBoundRank x padded, scale 2^12) spanning the centred levels' top
+// singular directions, and P_j = B c_j as kBoundRank int32 per cell.
+// For any query, N_j = ||B q - P_j||^2 <= kappa * D_j bounds every
+// cell's exact int8 distance D_j from below at 32 bytes per cell, so the
+// matcher can skip the cells the bound rules out without reading them.
+// It is built only where a row is at least 8x the projection's 32 bytes
+// (padded_links() >= 256): below that, reading 32 bytes to skip a row
+// of 64 saves too little (in a prototype at 40 links x 1 600 cells, no
+// cell was ruled out at all).
+//
 // Exactness bookkeeping: quantize_observation() reports each usable
 // link's exact quantization residual |x_i - dequantized(x_i)| (clamp
 // excess included).  Stored column entries are in-range by
@@ -41,8 +53,8 @@
 // the matcher's re-rank PROVE its top-k equals the exact float scan's
 // (see matcher.cpp).
 //
-// The tier is derived state: FingerprintDatabase rebuilds it (levels
-// and cell terms together) on construction and on every
+// The tier is derived state: FingerprintDatabase rebuilds it (levels,
+// cell terms and projection together) on construction and on every
 // update()/load(), never serializes it, and excludes it from
 // operator==.  A matrix with non-finite entries
 // (possible mid-fault before dead-row patching) leaves the tier
@@ -54,6 +66,7 @@
 #include <span>
 #include <vector>
 
+#include "tafloc/linalg/backend.h"
 #include "tafloc/linalg/view.h"
 #include "tafloc/util/quantize.h"
 
@@ -100,6 +113,31 @@ class QuantizedTier {
   /// Int8Prepass::cell_terms of an unmasked scan; empty when not ready.
   std::span<const std::int64_t> cell_terms() const noexcept { return terms_; }
 
+  /// Smallest padded_links() that gets a projection: a row at least 8x
+  /// the kBoundRank int32 values the bound pass reads per cell.
+  static constexpr std::size_t kProjectMinPadded = 8 * kBoundRank * sizeof(std::int32_t);
+
+  /// True when the tier carries the projection (see the file comment).
+  bool projected() const noexcept { return !projections_.empty(); }
+  /// B: kBoundRank rows of padded_links() int16 (pad columns 0); empty
+  /// when not projected().
+  std::span<const std::int16_t> projection_basis() const noexcept { return basis_; }
+  /// P_j = B c_j: kBoundRank int32 values, from a 32-byte boundary.
+  const std::int32_t* cell_projection(std::size_t grid) const {
+    return projections_.data() + proj_base_ + grid * kBoundRank;
+  }
+  /// kappa = max_t sum_s |(B B^T)_ts| >= the largest eigenvalue of B B^T,
+  /// so N_j <= kappa * D_j for every query and cell.
+  std::uint64_t projection_kappa() const noexcept { return kappa_; }
+  /// Low bits of N_j a bound key drops (Int8Bound::shift), so every
+  /// bound key, like kappa * D for any reachable D, stays below 2^63.
+  unsigned bound_shift() const noexcept { return bound_shift_; }
+
+  /// Build the projection from the current levels, or drop it where the
+  /// shape rule or a range check rules it out.  rebuild() calls it; it
+  /// is public so its cost can be measured apart.
+  void rebuild_projection();
+
   /// Level for one value on one link's grid (exposed inline so the
   /// rounding-convention test can pin it against NoiseModel::quantize).
   static std::int8_t quantize_level(double value, double offset, double scale) noexcept {
@@ -132,6 +170,13 @@ class QuantizedTier {
   std::vector<std::int8_t> cells_;
   std::size_t base_ = 0;
   std::vector<std::int64_t> terms_;  ///< one per grid, see cell_terms().
+  std::vector<std::int16_t> basis_;  ///< see projection_basis().
+  /// grids_ * kBoundRank values from proj_base_, the buffer's first
+  /// 32-byte boundary (kept by a copy like base_).
+  std::vector<std::int32_t> projections_;
+  std::size_t proj_base_ = 0;
+  std::uint64_t kappa_ = 0;
+  unsigned bound_shift_ = 0;
 };
 
 }  // namespace tafloc

@@ -10,10 +10,11 @@
 //                 __builtin_cpu_supports("avx2"); compiled with GCC/Clang
 //                 function target attributes, so no special build flags
 //                 are needed and non-x86 builds simply never offer it.
-//   avx512vnni -- the avx2 table's axpy/hadamard and masked pre-pass,
-//                 plus an unmasked pre-pass that scores cells as one
-//                 vpdpbusd dot product per 32 bytes; offered when the
-//                 CPU reports avx512vnni and avx512vl.
+//   avx512vnni -- the avx2 table's axpy/hadamard, masked pre-pass,
+//                 projection and bound pass, plus an unmasked pre-pass
+//                 that scores cells as one vpdpbusd dot product per 32
+//                 bytes; offered when the CPU reports avx512vnni and
+//                 avx512vl.
 //
 // Bit-identity contract (the reason this file is small): a backend may
 // only vectorize a primitive when every output element's floating-point
@@ -24,9 +25,9 @@
 //     accumulator, and the AVX2 code uses separate multiply and add
 //     instructions (never FMA -- a fused contraction rounds once where
 //     mul+add rounds twice, which would break scalar/AVX2 identity).
-//   * The int8 pre-pass is exact integer arithmetic, so any summation
-//     order -- and any exact identity for the same integer -- gives the
-//     same answer.
+//   * The int8 pre-pass, the projection and the bound pass are exact
+//     integer arithmetic, so any summation order -- and any exact
+//     identity for the same integer -- gives the same answer.
 //   * Dot-product reductions (matrix-vector multiply, outer_product)
 //     CANNOT be vectorized under this contract -- SIMD lane partial
 //     sums reorder the accumulation -- so they stay scalar in every
@@ -68,6 +69,31 @@ struct Int8Prepass {
   /// nullptr (a table may score the unmasked pass in dot form).
   const std::int64_t* cell_terms = nullptr;
   std::int64_t query_norm_sq = 0;  ///< sum_i query[i]^2 over the padded bytes.
+  /// The gather form, unmasked passes only: position p scores cell
+  /// cell_index[p] and writes its key at keys[p].  nullptr: position p
+  /// is cell p.
+  const std::size_t* cell_index = nullptr;
+};
+
+/// Rank of the integer projection that bounds the int8 distance from
+/// below (see Int8Bound): values per projected vector.
+inline constexpr std::size_t kBoundRank = 8;
+
+/// The operands of one query's bound pass over a projected tier.  With
+/// B the tier's kBoundRank x padded int16 basis, query = B q and cell j's
+/// projection at cells + j * kBoundRank is P_j = B c_j, so
+///
+///   N_j = || B q - P_j ||^2 = || B (q - c_j) ||^2 <= kappa * D_j,
+///
+/// where D_j is the pre-pass distance sum_i (q_i - c_ji)^2 and kappa
+/// bounds the largest eigenvalue of B B^T (QuantizedTier checks that
+/// every value involved fits its type).  The inequality holds for any
+/// B; the basis only decides how tight it is.
+struct Int8Bound {
+  const std::int32_t* query = nullptr;  ///< kBoundRank values, B q.
+  const std::int32_t* cells = nullptr;  ///< cell j at cells + j * kBoundRank.
+  unsigned shift = 0;                   ///< low bits of N_j dropped from the key.
+  unsigned index_bits = 0;              ///< low key bits holding the cell index.
 };
 
 /// The per-cell term of the dot-form pre-pass: sum_i c[i]^2 + 256 *
@@ -95,8 +121,24 @@ struct KernelOps {
   /// scalar and avx2 score every pass as squared differences;
   /// avx512vnni scores unmasked passes in dot form (Int8Prepass) and
   /// masked ones as avx2 does.  Every table writes the same keys.
+  /// In the gather form (pass.cell_index set) [j0, j1) are positions of
+  /// the index list: keys[p] = (d_c << index_bits) | c, c = cell_index[p].
   void (*int8_prepass)(const Int8Prepass& pass, std::size_t j0, std::size_t j1,
                        std::uint64_t* keys);
+
+  /// out[t] = sum_i basis[t * padded + i] * x[i] for t < kBoundRank: one
+  /// int8 vector projected by a kBoundRank x padded int16 basis.  The
+  /// caller guarantees 127 * (the largest row sum of |basis|) < 2^31,
+  /// so no partial sum overflows.
+  void (*int8_project)(const std::int16_t* basis, const std::int8_t* x, std::size_t padded,
+                       std::int32_t* out);
+
+  /// The bound pass over cells [j0, j1): keys[j] = ((N_j >> shift) <<
+  /// index_bits) | j with N_j as in Int8Bound.  The caller guarantees
+  /// that every difference B q - P_j fits int32 and every shifted key
+  /// fits 64 bits.
+  void (*int8_bound)(const Int8Bound& pass, std::size_t j0, std::size_t j1,
+                     std::uint64_t* keys);
 };
 
 /// True when this CPU can run the AVX2 table (always false on non-x86

@@ -35,7 +35,8 @@ void int8_prepass_scalar_impl(const Int8Prepass& pass, std::size_t j0, std::size
                               std::uint64_t* keys) {
   const std::int8_t* query = pass.query;
   const std::size_t padded = pass.padded;
-  for (std::size_t j = j0; j < j1; ++j) {
+  for (std::size_t p = j0; p < j1; ++p) {
+    const std::size_t j = pass.cell_index != nullptr ? pass.cell_index[p] : p;
     const std::int8_t* cell = pass.cells + j * padded;
     std::uint64_t total = 0;
     for (std::size_t i = 0; i < padded; ++i) {
@@ -43,7 +44,7 @@ void int8_prepass_scalar_impl(const Int8Prepass& pass, std::size_t j0, std::size
       const std::int32_t d = static_cast<std::int32_t>(query[i]) - cell[i];
       total += static_cast<std::uint64_t>(d * d);
     }
-    keys[j] = (total << pass.index_bits) | j;
+    keys[p] = (total << pass.index_bits) | j;
   }
 }
 
@@ -57,8 +58,33 @@ void int8_prepass_scalar(const Int8Prepass& pass, std::size_t j0, std::size_t j1
     int8_prepass_scalar_impl<true>(pass, j0, j1, keys);
 }
 
-constexpr KernelOps kScalarOps{KernelBackend::kScalar, "scalar", axpy_scalar, hadamard_scalar,
-                               int8_prepass_scalar};
+void int8_project_scalar(const std::int16_t* basis, const std::int8_t* x, std::size_t padded,
+                         std::int32_t* out) {
+  for (std::size_t t = 0; t < kBoundRank; ++t) {
+    const std::int16_t* row = basis + t * padded;
+    std::int32_t total = 0;
+    for (std::size_t i = 0; i < padded; ++i) total += std::int32_t{row[i]} * x[i];
+    out[t] = total;
+  }
+}
+
+void int8_bound_scalar(const Int8Bound& pass, std::size_t j0, std::size_t j1,
+                       std::uint64_t* keys) {
+  for (std::size_t j = j0; j < j1; ++j) {
+    const std::int32_t* cell = pass.cells + j * kBoundRank;
+    std::uint64_t total = 0;
+    for (std::size_t t = 0; t < kBoundRank; ++t) {
+      const std::int64_t d = std::int64_t{pass.query[t]} - cell[t];
+      total += static_cast<std::uint64_t>(d * d);
+    }
+    keys[j] = ((total >> pass.shift) << pass.index_bits) | j;
+  }
+}
+
+constexpr KernelOps kScalarOps{KernelBackend::kScalar, "scalar",
+                               axpy_scalar,            hadamard_scalar,
+                               int8_prepass_scalar,    int8_project_scalar,
+                               int8_bound_scalar};
 
 const KernelOps* avx2_table() { return detail_avx2_kernel_table(); }
 const KernelOps* avx512vnni_table() { return detail_avx512vnni_kernel_table(); }

@@ -184,6 +184,9 @@ class KnnMatcher : public Localizer {
   Counter* fallback_counter_ = nullptr;
   Counter* prepass_counter_ = nullptr;
   Counter* widen_counter_ = nullptr;
+  Counter* bound_cells_counter_ = nullptr;
+  Counter* bound_raise_counter_ = nullptr;
+  Counter* bound_fallback_counter_ = nullptr;
 };
 
 }  // namespace tafloc

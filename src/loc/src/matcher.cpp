@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <optional>
 
 #include "tafloc/exec/thread_pool.h"
 #include "tafloc/linalg/backend.h"
@@ -114,15 +115,18 @@ using Neighbor = KnnMatcher::Neighbor;
 /// Per-thread KNN scratch: the ranked grids (every grid on the float
 /// scan, the re-ranked candidates on the two-tier scan) plus the
 /// quantized pre-pass buffers (query levels, padded mask, per-link
-/// residuals, packed keys).  thread_local so matchers queried from
-/// several threads never contend; grows monotonically, so queries after
-/// the first on a thread allocate nothing.
+/// residuals, packed keys) and the bound search's (bound keys, the
+/// cells whose exact keys it computes next).  thread_local so matchers
+/// queried from several threads never contend; grows monotonically, so
+/// queries after the first on a thread allocate nothing.
 struct KnnScratch {
   std::vector<Neighbor> ranked;
   std::vector<std::int8_t> qvalues;
   std::vector<std::uint8_t> qmask;
   std::vector<double> qresidual;
   std::vector<std::uint64_t> keys;
+  std::vector<std::uint64_t> bound_keys;
+  std::vector<std::size_t> bound_cells;
 };
 
 KnnScratch& knn_scratch() {
@@ -154,16 +158,170 @@ Counter& knn_scratch_allocation_counter() {
   return counter;
 }
 
-/// Largest candidate block selected with a heap (see quantized_scan):
+/// Largest candidate block selected with a heap (see select_smallest):
 /// at 1 600 cells partial_sort takes 3.8 us for 12 keys and 12.5 us
 /// for 48, nth_element 10-11 us for either.
 constexpr std::size_t kHeapSelectMax = 32;
 
-/// Spare keys past n, so the key buffer can start on a 64-byte line.
+/// Spare keys past n, so a key buffer can start on a 64-byte line.
 constexpr std::size_t kKeySlack = 64 / sizeof(std::uint64_t) - 1;
 
-/// Two-tier scan: int8 integer pre-pass over every grid, exact float
-/// re-rank over a provably sufficient candidate prefix.
+/// n keys of `buffer` from its first 64-byte line: the kernels store
+/// four keys (32 bytes) at a time, and no store then splits a line.
+std::uint64_t* aligned_keys(std::vector<std::uint64_t>& buffer, std::size_t n) {
+  buffer.resize(n + kKeySlack);
+  void* line = buffer.data();
+  std::size_t room = buffer.size() * sizeof(std::uint64_t);
+  return static_cast<std::uint64_t*>(std::align(64, n * sizeof(std::uint64_t), line, room));
+}
+
+/// keys[done, m) <- the m - done smallest of keys[done, end), their
+/// largest at m - 1; their order among themselves is irrelevant, the
+/// exact re-rank orders them.  A heap selection (partial_sort) beats
+/// nth_element's partitioning passes only while the block is small.
+void select_smallest(std::uint64_t* keys, std::size_t done, std::size_t m, std::size_t end) {
+  if (m - done <= kHeapSelectMax)
+    std::partial_sort(keys + done, keys + m, keys + end);
+  else
+    std::nth_element(keys + done, keys + m - 1, keys + end);
+}
+
+/// The loc.knn.* counters a two-tier query adds to (each may be null).
+struct ScanCounters {
+  Counter* widenings = nullptr;
+  Counter* cells = nullptr;
+  Counter* raises = nullptr;
+  Counter* fallbacks = nullptr;
+};
+
+/// The unmasked scan's survivor set under the tier's projection bound
+/// (quantized.h): S(U) = {j : N_j <= kappa * U}, kept as its cells'
+/// exact keys in keys[0, |S|).  N_j <= kappa * D_j for every cell, so
+/// every cell outside S(U) has D_j > U -- its bytes are never read.
+///
+/// certify() hands the scan the same candidate prefix the full pre-pass
+/// would: if the m smallest keys of S have largest distance d <= U,
+/// every cell outside S lies beyond them, so they are the m smallest of
+/// all cells.  If d > U it raises U to d and grows S, after which the
+/// test holds (the old m keys are all still in S and at most d).
+class BoundSearch {
+ public:
+  BoundSearch(const QuantizedTier& tier, const Int8Prepass& pass, std::uint64_t* keys,
+              KnnScratch& s)
+      : tier_(tier),
+        pass_(pass),
+        n_(tier.num_grids()),
+        quarter_(n_ / 4),
+        index_bits_(tier.key_index_bits()),
+        index_mask_((std::uint64_t{1} << index_bits_) - 1),
+        keys_(keys),
+        bound_keys_(aligned_keys(s.bound_keys, n_)) {
+    s.bound_cells.resize(quarter_ + 1);  // S never passes a quarter of the cells
+    cells_ = s.bound_cells.data();
+    pass_.cell_index = cells_;
+  }
+
+  /// The bound pass over every cell, then certify(0, m).  False when S
+  /// would pass a quarter of the cells.
+  bool start(std::size_t m) {
+    if (m > quarter_) return false;
+    const KernelOps& ops = kernel_ops();
+    ops.int8_project(tier_.projection_basis().data(), pass_.query, pass_.padded, query_);
+    const Int8Bound bound{query_, tier_.cell_projection(0), tier_.bound_shift(), index_bits_};
+    const std::size_t grain = (std::size_t{1} << 15) / (kBoundRank * sizeof(std::int32_t));
+    ThreadPool::global().parallel_for(0, n_, grain, [&](std::size_t j0, std::size_t j1) {
+      ops.int8_bound(bound, j0, j1, bound_keys_);
+    });
+    return certify(0, m);
+  }
+
+  /// keys[done, m) <- the m - done smallest keys of all cells outside
+  /// the prefix keys[0, done) (which holds the done smallest), their
+  /// largest at m - 1.  False when S would pass a quarter of the cells.
+  bool certify(std::size_t done, std::size_t m) {
+    if (m > quarter_) return false;
+    while (true) {
+      if (size_ < m && !cover(m)) return false;
+      select_smallest(keys_, done, m, size_);
+      const std::uint64_t d = keys_[m - 1] >> index_bits_;
+      if (d <= u_) return true;
+      ++raises_;
+      if (!grow(d)) return false;
+    }
+  }
+
+  std::size_t computed() const noexcept { return computed_; }
+  std::size_t raises() const noexcept { return raises_; }
+
+ private:
+  /// Grow S to at least m cells: U rises to the largest distance among
+  /// the m cells of smallest bound, all of which S(U) then holds.  The
+  /// keys of those S lacked join it as they are, so grow() skips them.
+  bool cover(std::size_t m) {
+    select_smallest(bound_keys_, 0, m, n_);
+    for (std::size_t p = 0; p < m; ++p) cells_[p] = bound_keys_[p] & index_mask_;
+    std::uint64_t* fresh = keys_ + size_;  // free: size_ < m <= n / 4
+    exact_keys(m, fresh);
+    std::uint64_t u = u_;
+    std::size_t added = 0;
+    for (std::size_t p = 0; p < m; ++p) {
+      u = std::max(u, fresh[p] >> index_bits_);
+      if (bound_keys_[p] >= limit_) fresh[added++] = fresh[p];
+    }
+    size_ += added;
+    return size_ <= quarter_ && grow(u, m);
+  }
+
+  /// S(U) -> S(u) for u >= U: exact keys for the cells whose bound key
+  /// lies in [limit_, limit), from bound_keys_[from, n) on, appended to
+  /// S's.
+  bool grow(std::uint64_t u, std::size_t from = 0) {
+    const std::uint64_t bound = (tier_.projection_kappa() * u) >> tier_.bound_shift();
+    const std::uint64_t limit = ((bound << index_bits_) | index_mask_) + 1;
+    std::size_t count = 0;
+    for (std::size_t j = from; j < n_; ++j) {
+      const std::uint64_t key = bound_keys_[j];
+      if (key < limit_ || key >= limit) continue;
+      if (size_ + count == quarter_) return false;
+      cells_[count++] = key & index_mask_;
+    }
+    exact_keys(count, keys_ + size_);
+    size_ += count;
+    limit_ = limit;
+    u_ = u;
+    return true;
+  }
+
+  /// The gather pre-pass: out[p] = the exact key of cells_[p], p < count.
+  void exact_keys(std::size_t count, std::uint64_t* out) {
+    const KernelOps& ops = kernel_ops();
+    const std::size_t grain =
+        std::max<std::size_t>(1, (std::size_t{1} << 15) / std::max<std::size_t>(pass_.padded, 1));
+    ThreadPool::global().parallel_for(0, count, grain, [&](std::size_t p0, std::size_t p1) {
+      ops.int8_prepass(pass_, p0, p1, out);
+    });
+    computed_ += count;
+  }
+
+  const QuantizedTier& tier_;
+  Int8Prepass pass_;
+  std::size_t n_;
+  std::size_t quarter_;
+  unsigned index_bits_;
+  std::uint64_t index_mask_;
+  std::uint64_t* keys_;
+  std::uint64_t* bound_keys_;
+  std::size_t* cells_ = nullptr;  ///< the cells exact_keys() scores next.
+  alignas(32) std::int32_t query_[kBoundRank] = {};  ///< B q.
+  std::size_t size_ = 0;      ///< |S|.
+  std::uint64_t limit_ = 0;   ///< S = {j : bound key < limit_}.
+  std::uint64_t u_ = 0;       ///< U.
+  std::size_t computed_ = 0;  ///< exact keys computed.
+  std::size_t raises_ = 0;
+};
+
+/// Two-tier scan: int8 integer pre-pass, exact float re-rank over a
+/// provably sufficient candidate prefix.
 ///
 /// Why the result equals the full float scan, bit for bit:
 ///   * Let s be the tier's scale.  For a usable link i the query's
@@ -194,6 +352,10 @@ constexpr std::size_t kKeySlack = 64 / sizeof(std::uint64_t) - 1;
 ///   * Keys.  The pre-pass writes key_j = (qdist_j << b) | j, b =
 ///     tier.key_index_bits(), so plain integer order on keys IS the
 ///     (qdist, index) order; selection needs no indirection.
+///   * Bound.  On a projected tier an unmasked query computes exact keys
+///     only for the survivor set of BoundSearch, whose certify() yields
+///     the same prefixes as the full pre-pass; a query whose survivors
+///     pass a quarter of the cells finishes on the full pre-pass.
 ///   * Incremental widening.  keys[0, m) holds the prefix, its largest
 ///     key (T) at m - 1.  Widening to m' selects only keys[m, m') from
 ///     the unranked remainder (the m' smallest overall are the m already
@@ -209,7 +371,7 @@ constexpr std::size_t kKeySlack = 64 / sizeof(std::uint64_t) - 1;
 std::span<const Neighbor> quantized_scan(ConstMatrixView fp, std::span<const double> rss,
                                          const ScanMask& mask, const QuantizedTier& tier,
                                          std::size_t k, std::size_t alpha, KnnScratch& s,
-                                         Counter* widen_counter) {
+                                         const ScanCounters& counters) {
   const std::size_t n = fp.cols();
   const std::size_t padded = tier.padded_links();
 
@@ -233,27 +395,37 @@ std::span<const Neighbor> quantized_scan(ConstMatrixView fp, std::span<const dou
   const double err = std::sqrt(err_sq) * (1.0 + 1e-9) + 1e-9;
   const double root_scale = std::sqrt(mask.scale);
 
-  // Integer pre-pass over every grid, one kernel call per cell range.
-  // Each key is an independent exact integer, so the parallel split
-  // cannot perturb anything.
-  // The pre-pass stores four keys (32 bytes) at a time: start them on a
-  // cache-line boundary so no store splits a line.
-  s.keys.resize(n + kKeySlack);
-  void* line = s.keys.data();
-  std::size_t room = s.keys.size() * sizeof(std::uint64_t);
-  std::uint64_t* keys =
-      static_cast<std::uint64_t*>(std::align(64, n * sizeof(std::uint64_t), line, room));
-  {
+  std::uint64_t* keys = aligned_keys(s.keys, n);
+  Int8Prepass pass{s.qvalues.data(), mask_bytes, tier.cell_data(0), padded,
+                   tier.key_index_bits(), tier.cell_terms().data()};
+  for (const std::int8_t v : s.qvalues) pass.query_norm_sq += v * v;
+  std::size_t streamed = 0;
+  // The full pre-pass: every cell's exact key, one kernel call per cell
+  // range; keys[0, done) then again holds the done smallest.  Each key
+  // is an independent exact integer, so the parallel split cannot
+  // perturb anything.
+  const auto stream_all = [&](std::size_t done) {
     TraceStage prepass_stage("loc.prepass");
     const KernelOps& ops = kernel_ops();
-    Int8Prepass pass{s.qvalues.data(), mask_bytes, tier.cell_data(0), padded,
-                     tier.key_index_bits(), tier.cell_terms().data()};
-    for (const std::int8_t v : s.qvalues) pass.query_norm_sq += v * v;
     const std::size_t grain =
         std::max<std::size_t>(1, (std::size_t{1} << 15) / std::max<std::size_t>(padded, 1));
     ThreadPool::global().parallel_for(0, n, grain, [&](std::size_t j0, std::size_t j1) {
       ops.int8_prepass(pass, j0, j1, keys);
     });
+    if (done > 0) std::nth_element(keys, keys + done - 1, keys + n);
+    streamed += n;
+  };
+
+  std::size_t m = std::min(n, std::max(k * alpha, k + 8));
+  std::optional<BoundSearch> search;
+  bool bounded = false;
+  if (mask.usable.empty() && tier.projected()) {
+    TraceStage bound_stage("loc.bound");
+    bounded = search.emplace(tier, pass, keys, s).start(m);
+  }
+  if (!bounded) {
+    stream_all(0);
+    select_smallest(keys, 0, m, n);
   }
 
   TraceStage rerank_stage("loc.rerank");
@@ -261,21 +433,11 @@ std::span<const Neighbor> quantized_scan(ConstMatrixView fp, std::span<const dou
   const std::uint64_t index_mask = (std::uint64_t{1} << index_bits) - 1;
   s.ranked.resize(n);
   Neighbor* ranked = s.ranked.data();
-  std::size_t m = std::min(n, std::max(k * alpha, k + 8));
   std::size_t done = 0;  // keys[0, done): selected and re-ranked
   std::size_t kept = 0;  // ranked[0, kept): the best re-ranked so far
   while (true) {
-    // keys[done, m) <- the m - done smallest unranked keys, their
-    // largest last (T of the exclusion bound); their order among
-    // themselves is irrelevant, the exact re-rank orders them.  A heap
-    // selection (partial_sort) beats nth_element's partitioning passes
-    // only while the block is small.
-    if (m - done <= kHeapSelectMax)
-      std::partial_sort(keys + done, keys + m, keys + n);
-    else if (m < n)
-      std::nth_element(keys + done, keys + m - 1, keys + n);
-    // Exact distances of the new candidates only, appended after the
-    // kept winners; then the k best of both.
+    // keys[done, m) holds the new candidates.  Exact distances of those
+    // only, appended after the kept winners; then the k best of both.
     const auto grid_of = [&, fresh = keys + done](std::size_t c) {
       return static_cast<std::size_t>(fresh[c] & index_mask);
     };
@@ -293,8 +455,18 @@ std::span<const Neighbor> quantized_scan(ConstMatrixView fp, std::span<const dou
     const double excluded_floor = root_scale * (threshold_root - err);
     const double kth_root = std::sqrt(ranked[k - 1].dist);
     if (kth_root < excluded_floor) break;  // proof holds; equality widens
-    if (widen_counter != nullptr) widen_counter->add();
+    if (counters.widenings != nullptr) counters.widenings->add();
     m = std::min(n, m * 2);
+    if (bounded && !search->certify(done, m)) {
+      bounded = false;
+      stream_all(done);
+    }
+    if (!bounded) select_smallest(keys, done, m, n);
+  }
+  if (counters.cells != nullptr) counters.cells->add(streamed + (search ? search->computed() : 0));
+  if (search.has_value()) {
+    if (counters.raises != nullptr && search->raises() > 0) counters.raises->add(search->raises());
+    if (counters.fallbacks != nullptr && !bounded) counters.fallbacks->add();
   }
   return {ranked, k};
 }
@@ -342,6 +514,9 @@ void KnnMatcher::attach_telemetry(MetricRegistry* registry) {
   fallback_counter_ = registry_counter(telemetry_, "loc.knn.centroid_fallbacks");
   prepass_counter_ = registry_counter(telemetry_, "loc.knn.prepass_queries");
   widen_counter_ = registry_counter(telemetry_, "loc.knn.rerank_widenings");
+  bound_cells_counter_ = registry_counter(telemetry_, "loc.knn.bound_cells");
+  bound_raise_counter_ = registry_counter(telemetry_, "loc.knn.bound_raises");
+  bound_fallback_counter_ = registry_counter(telemetry_, "loc.knn.bound_fallbacks");
 }
 
 void KnnMatcher::set_rerank_multiplier(std::size_t alpha) {
@@ -375,6 +550,10 @@ std::span<const Neighbor> KnnMatcher::nearest_in_scratch(std::span<const double>
     grown |= reserve_scratch(s.qvalues, tier->padded_links());
     grown |= reserve_scratch(s.qmask, tier->padded_links());
     grown |= reserve_scratch(s.qresidual, fp.rows());
+    if (tier->projected()) {
+      grown |= reserve_scratch(s.bound_keys, n + kKeySlack);
+      grown |= reserve_scratch(s.bound_cells, n / 4 + 1);
+    }
   }
   if (grown) {
     knn_scratch_allocation_counter().add();
@@ -382,7 +561,9 @@ std::span<const Neighbor> KnnMatcher::nearest_in_scratch(std::span<const double>
   }
   if (tier != nullptr) {
     if (prepass_counter_ != nullptr) prepass_counter_->add();
-    return quantized_scan(fp, rss, scan, *tier, k_, rerank_alpha_, s, widen_counter_);
+    return quantized_scan(fp, rss, scan, *tier, k_, rerank_alpha_, s,
+                          {widen_counter_, bound_cells_counter_, bound_raise_counter_,
+                           bound_fallback_counter_});
   }
   TraceStage scan_stage("loc.scan");
   s.ranked.resize(n);

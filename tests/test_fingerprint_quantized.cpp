@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
+#include <vector>
 
 #include "tafloc/fingerprint/database.h"
 #include "tafloc/linalg/ops.h"
@@ -173,6 +176,125 @@ TEST(QuantizedTier, DatabaseRebuildsTierOnUpdate) {
       ASSERT_EQ(db.quantized_tier().cell_data(j)[i], fresh.cell_data(j)[i]);
   // The cell terms were rebuilt with the levels.
   expect_cell_terms_exact(db.quantized_tier());
+}
+
+// ---- the projection bound (quantized.h, linalg/backend.h Int8Bound) ----
+
+/// The stored projection against brute force: zero basis padding, the
+/// Gershgorin kappa of the stored basis, P_j = B c_j, and N_j <= kappa *
+/// D_j for random queries and the +-127 extremes.
+void expect_projection_exact_and_sound(const QuantizedTier& tier, std::uint64_t seed) {
+  ASSERT_TRUE(tier.projected());
+  const std::size_t padded = tier.padded_links();
+  const std::span<const std::int16_t> basis = tier.projection_basis();
+  ASSERT_EQ(basis.size(), kBoundRank * padded);
+  for (std::size_t t = 0; t < kBoundRank; ++t)
+    for (std::size_t i = tier.num_links(); i < padded; ++i) EXPECT_EQ(basis[t * padded + i], 0);
+  const auto project = [&](const std::int8_t* x) {
+    std::vector<std::int64_t> out(kBoundRank, 0);
+    for (std::size_t t = 0; t < kBoundRank; ++t)
+      for (std::size_t i = 0; i < padded; ++i) out[t] += std::int64_t{basis[t * padded + i]} * x[i];
+    return out;
+  };
+  std::uint64_t kappa = 0;
+  for (std::size_t t = 0; t < kBoundRank; ++t) {
+    std::uint64_t sum = 0;
+    for (std::size_t u = 0; u < kBoundRank; ++u) {
+      std::int64_t g = 0;
+      for (std::size_t i = 0; i < padded; ++i)
+        g += std::int64_t{basis[t * padded + i]} * basis[u * padded + i];
+      sum += static_cast<std::uint64_t>(g < 0 ? -g : g);
+    }
+    kappa = std::max(kappa, sum);
+  }
+  EXPECT_EQ(tier.projection_kappa(), kappa);
+  for (std::size_t j = 0; j < tier.num_grids(); ++j) {
+    const std::vector<std::int64_t> p = project(tier.cell_data(j));
+    for (std::size_t t = 0; t < kBoundRank; ++t)
+      ASSERT_EQ(tier.cell_projection(j)[t], p[t]) << "grid " << j << " row " << t;
+  }
+  Rng rng(seed);
+  for (int trial = 0; trial < 4; ++trial) {
+    std::vector<std::int8_t> q(padded, 0);
+    for (std::size_t i = 0; i < tier.num_links(); ++i)
+      q[i] = trial == 0 ? 127 : (trial == 1 ? -127 : static_cast<std::int8_t>(rng.uniform(-127.0, 128.0)));
+    const std::vector<std::int64_t> bq = project(q.data());
+    for (std::size_t j = 0; j < tier.num_grids(); ++j) {
+      std::uint64_t n = 0, d = 0;
+      for (std::size_t t = 0; t < kBoundRank; ++t) {
+        const std::int64_t diff = bq[t] - tier.cell_projection(j)[t];
+        n += static_cast<std::uint64_t>(diff * diff);
+      }
+      for (std::size_t i = 0; i < padded; ++i) {
+        const std::int64_t diff = std::int64_t{q[i]} - tier.cell_data(j)[i];
+        d += static_cast<std::uint64_t>(diff * diff);
+      }
+      ASSERT_LE(n, kappa * d) << "trial " << trial << " grid " << j;
+    }
+  }
+}
+
+TEST(QuantizedTier, ProjectionOnlyWhereRowsAreWide) {
+  // The shape rule: a projection exactly when a padded row is at least
+  // 8x the 32 bytes the bound pass reads per cell.
+  EXPECT_EQ(QuantizedTier::kProjectMinPadded, 256u);
+  QuantizedTier tier;
+  tier.rebuild(fixture(512, 2000, 20).view());
+  ASSERT_TRUE(tier.ready());
+  expect_projection_exact_and_sound(tier, 21);
+  // A rebuilt tier starts the projections on a 32-byte boundary, so no
+  // bound-pass load splits a cache line (a copy may not keep it).
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(tier.cell_projection(0)) % 32, 0u);
+  // An orthonormal basis scaled by 2^12: B B^T is close to 2^24 I.
+  EXPECT_GE(tier.projection_kappa(), std::uint64_t{1} << 23);
+  EXPECT_LE(tier.projection_kappa(), std::uint64_t{1} << 25);
+  for (const std::size_t links : {10u, 40u, 224u}) {  // padded 32, 64, 224
+    tier.rebuild(fixture(links, 1600, 22).view());
+    ASSERT_TRUE(tier.ready());
+    EXPECT_FALSE(tier.projected()) << links << " links";
+    EXPECT_TRUE(tier.projection_basis().empty());
+  }
+  tier.rebuild(fixture(225, 300, 23).view());  // padded 256: the smallest projected row
+  expect_projection_exact_and_sound(tier, 24);
+}
+
+TEST(QuantizedTier, ProjectionIsDerivedStateOfTheLevels) {
+  // Copied with the tier, dropped with it, absent for a non-finite
+  // matrix, rebuilt with the levels.
+  Matrix fp = fixture(300, 500, 25);
+  QuantizedTier tier;
+  tier.rebuild(fp.view());
+  ASSERT_TRUE(tier.projected());
+  const QuantizedTier copy = tier;
+  ASSERT_TRUE(copy.projected());
+  EXPECT_TRUE(std::equal(copy.projection_basis().begin(), copy.projection_basis().end(),
+                         tier.projection_basis().begin(), tier.projection_basis().end()));
+  EXPECT_EQ(copy.projection_kappa(), tier.projection_kappa());
+  EXPECT_EQ(copy.bound_shift(), tier.bound_shift());
+  for (std::size_t j = 0; j < fp.cols(); ++j)
+    for (std::size_t t = 0; t < kBoundRank; ++t)
+      ASSERT_EQ(copy.cell_projection(j)[t], tier.cell_projection(j)[t]);
+  tier.clear();
+  EXPECT_FALSE(tier.projected());
+  EXPECT_TRUE(tier.projection_basis().empty());
+  expect_projection_exact_and_sound(copy, 26);  // the copy keeps its own
+
+  fp(7, 11) = std::numeric_limits<double>::quiet_NaN();
+  tier.rebuild(fp.view());
+  EXPECT_FALSE(tier.ready());
+  EXPECT_FALSE(tier.projected());
+  fp(7, 11) = -60.0;
+  FingerprintDatabase db(fp, Vector(300, -80.0), 0.0);
+  expect_projection_exact_and_sound(db.quantized_tier(), 27);
+  Matrix wider = fp;
+  for (std::size_t j = 0; j < wider.cols(); ++j) wider(0, j) += 0.5 * static_cast<double>(j % 7);
+  db.update(wider, Vector(300, -80.0), 1.0);
+  QuantizedTier fresh;
+  fresh.rebuild(wider.view());
+  ASSERT_TRUE(db.quantized_tier().projected());
+  for (std::size_t j = 0; j < wider.cols(); ++j)
+    for (std::size_t t = 0; t < kBoundRank; ++t)
+      ASSERT_EQ(db.quantized_tier().cell_projection(j)[t], fresh.cell_projection(j)[t]);
 }
 
 // ---- the shared rounding convention (util/quantize.h) ----

@@ -316,6 +316,141 @@ TEST(KernelBackend, MaskedInt8DistanceExactOnEveryBackend) {
   }
 }
 
+TEST(KernelBackend, GatherPrepassMatchesContiguousKeys) {
+  // The gather form scores listed cells with the same arithmetic:
+  // position p gets exactly the key the contiguous pass gives cell
+  // cell_index[p] -- lists off the 4-cell block, repeats, every table
+  // and split, both sides of the 2^14-byte chunk.
+  constexpr std::uint64_t kSentinel = 0xdeadbeefcafef00dULL;
+  Rng rng(13);
+  for (std::size_t padded : {32u, 96u, 512u, (1u << 14) + 32}) {
+    PrepassCase pc = random_case(padded, 37, rng);
+    const std::vector<std::uint64_t> all = pc.reference_keys();
+    for (std::size_t count : {1u, 3u, 4u, 9u, 37u}) {
+      std::vector<std::size_t> index(count);
+      for (std::size_t& c : index) c = rng.index(pc.cells);
+      index[0] = pc.cells - 1;
+      if (count > 2) index[2] = index[1];  // a repeat
+      std::vector<std::uint64_t> expected(count);
+      for (std::size_t p = 0; p < count; ++p) expected[p] = all[index[p]];
+      Int8Prepass pass = pc.pass();
+      pass.cell_index = index.data();
+      for (KernelBackend backend : supported_kernel_backends()) {
+        for (std::size_t grain : {count, std::size_t{1}, std::size_t{3}}) {
+          std::vector<std::uint64_t> keys(count + 1, kSentinel);
+          for (std::size_t p0 = 0; p0 < count; p0 += grain)
+            kernel_ops(backend).int8_prepass(pass, p0, std::min(count, p0 + grain), keys.data());
+          EXPECT_EQ(keys.back(), kSentinel) << "wrote past the last position";
+          keys.pop_back();
+          EXPECT_EQ(keys, expected) << kernel_backend_name(backend) << " padded=" << padded
+                                    << " count=" << count << " grain=" << grain;
+        }
+      }
+    }
+  }
+}
+
+// ---- the projection bound (Int8Bound) ----
+
+/// sum_i basis[t * padded + i] * x[i] for every row t, in int64.
+std::vector<std::int64_t> project_reference(const std::vector<std::int16_t>& basis,
+                                            const std::int8_t* x, std::size_t padded) {
+  std::vector<std::int64_t> out(kBoundRank, 0);
+  for (std::size_t t = 0; t < kBoundRank; ++t)
+    for (std::size_t i = 0; i < padded; ++i) out[t] += std::int64_t{basis[t * padded + i]} * x[i];
+  return out;
+}
+
+/// max_t sum_u |(B B^T)_tu|, the Gershgorin bound QuantizedTier stores.
+std::uint64_t gershgorin_kappa(const std::vector<std::int16_t>& basis, std::size_t padded) {
+  std::uint64_t kappa = 0;
+  for (std::size_t t = 0; t < kBoundRank; ++t) {
+    std::uint64_t sum = 0;
+    for (std::size_t u = 0; u < kBoundRank; ++u) {
+      std::int64_t g = 0;
+      for (std::size_t i = 0; i < padded; ++i)
+        g += std::int64_t{basis[t * padded + i]} * basis[u * padded + i];
+      sum += static_cast<std::uint64_t>(g < 0 ? -g : g);
+    }
+    kappa = std::max(kappa, sum);
+  }
+  return kappa;
+}
+
+TEST(KernelBackend, Int8BoundIsSoundOnEveryBackend) {
+  // For ANY int16 basis B, N_j = ||B q - B c_j||^2 <= kappa * D_j with
+  // kappa the Gershgorin bound of B B^T.  Checked against brute force on
+  // random bases, cells and queries and on the extremes: q = 127 against
+  // c = -127 under an all-4096 basis reaches the largest projected
+  // difference (254 * 4096 * 1024 < 2^31) and meets the bound with
+  // equality.  Every table's projections and bound keys must equal the
+  // oracle's, for every split.
+  constexpr std::uint64_t kSentinel = 0xdeadbeefcafef00dULL;
+  Rng rng(14);
+  for (std::size_t padded : {256u, 512u, 1024u}) {
+    for (int trial = 0; trial < 3; ++trial) {
+      PrepassCase pc = random_case(padded, 29, rng);
+      std::vector<std::int16_t> basis(kBoundRank * padded);
+      for (std::int16_t& b : basis) b = static_cast<std::int16_t>(rng.uniform(-4096.0, 4097.0));
+      if (trial == 1) {  // the largest magnitudes
+        pc.query.assign(padded, 127);
+        pc.tier.assign(padded * pc.cells, -127);
+        basis.assign(basis.size(), 4096);
+      } else if (trial == 2) {  // sign-mixed extremes, every row a different pattern
+        for (std::size_t i = 0; i < padded; ++i) pc.query[i] = (i % 3 == 0) ? -127 : 127;
+        for (std::size_t t = 0; t < kBoundRank; ++t)
+          for (std::size_t i = 0; i < padded; ++i)
+            basis[t * padded + i] = ((i >> t) & 1) != 0 ? -4096 : 4096;
+      }
+      const std::uint64_t kappa = gershgorin_kappa(basis, padded);
+      const std::uint64_t max_dist = static_cast<std::uint64_t>(padded) * 254u * 254u;
+      ASSERT_LE(std::bit_width(kappa) + std::bit_width(max_dist), 64);
+      const unsigned bits = pc.index_bits();
+      const unsigned width = static_cast<unsigned>(std::bit_width(kappa * max_dist)) + bits;
+      const unsigned shift = width > 64 ? width - 64 : 0;
+
+      const std::vector<std::int64_t> qproj = project_reference(basis, pc.query.data(), padded);
+      const std::vector<std::uint64_t> dist = pc.reference_keys();
+      std::vector<std::uint64_t> expected(pc.cells);
+      std::vector<std::int32_t> cell_proj(pc.cells * kBoundRank);
+      for (std::size_t j = 0; j < pc.cells; ++j) {
+        const std::vector<std::int64_t> p = project_reference(basis, &pc.tier[j * padded], padded);
+        std::uint64_t n = 0;
+        for (std::size_t t = 0; t < kBoundRank; ++t) {
+          cell_proj[j * kBoundRank + t] = static_cast<std::int32_t>(p[t]);
+          const std::int64_t d = qproj[t] - p[t];
+          n += static_cast<std::uint64_t>(d * d);
+        }
+        const std::uint64_t d_j = dist[j] >> bits;
+        EXPECT_LE(n, kappa * d_j) << "padded=" << padded << " trial=" << trial << " cell " << j;
+        expected[j] = ((n >> shift) << bits) | j;
+      }
+
+      for (KernelBackend backend : supported_kernel_backends()) {
+        const KernelOps& ops = kernel_ops(backend);
+        SCOPED_TRACE(kernel_backend_name(backend));
+        std::vector<std::int32_t> proj(pc.cells * kBoundRank);
+        for (std::size_t j = 0; j < pc.cells; ++j)
+          ops.int8_project(basis.data(), &pc.tier[j * padded], padded, &proj[j * kBoundRank]);
+        EXPECT_EQ(proj, cell_proj) << "padded=" << padded << " trial=" << trial;
+        std::vector<std::int32_t> query(kBoundRank);
+        ops.int8_project(basis.data(), pc.query.data(), padded, query.data());
+        for (std::size_t t = 0; t < kBoundRank; ++t) EXPECT_EQ(query[t], qproj[t]);
+        const Int8Bound pass{query.data(), proj.data(), shift, bits};
+        for (std::size_t grain : {pc.cells, std::size_t{1}, std::size_t{3}, std::size_t{4}}) {
+          std::vector<std::uint64_t> keys(pc.cells + 1, kSentinel);
+          for (std::size_t j0 = 0; j0 < pc.cells; j0 += grain)
+            ops.int8_bound(pass, j0, std::min(pc.cells, j0 + grain), keys.data());
+          EXPECT_EQ(keys.back(), kSentinel) << "wrote past the last cell";
+          keys.pop_back();
+          EXPECT_EQ(keys, expected) << "padded=" << padded << " trial=" << trial
+                                    << " grain=" << grain;
+        }
+      }
+    }
+  }
+}
+
 // ---- bit-identity of the matrix kernels that dispatch through the table ----
 
 Matrix random_with_zeros(std::size_t rows, std::size_t cols, Rng& rng) {

@@ -12,7 +12,9 @@
 //   taflocctl --socket=PATH shutdown
 //
 // `top` is the live-introspection view: one row per zone with QPS,
-// request latency quantiles, served/degraded/shed counts, staleness,
+// request latency quantiles, served/degraded/shed counts, the exact
+// int8 keys a two-tier query computed on average (the tier's cell
+// count without the projection bound, far fewer with it), staleness,
 // recalibration status, and the SLO error budget -- assembled from one
 // kMetricsRequest + one kStatusRequest, no daemon-side state.
 // `trace` dumps the zone's retained trace records (or, with --slow, its
@@ -20,6 +22,7 @@
 //
 // Exit status: 0 when the daemon answered with wire status ok, 1 on a
 // daemon-side error status, 2 on usage/connection errors.
+#include <cstdint>
 #include <cstdio>
 #include <exception>
 #include <string>
@@ -188,9 +191,9 @@ int main(int argc, char** argv) {
       const StatusResponse status = StatusResponse::decode(sframe);
       if (status.status != WireStatus::kOk) return report(status.status, status.message);
 
-      std::printf("%-12s %-14s %8s %8s %8s %8s %8s %8s %6s %9s %6s  %s\n", "ZONE", "STATE",
-                  "QPS", "P50ms", "P95ms", "P99ms", "SERVED", "DEGRADED", "SHED", "STALE_dB",
-                  "RECAL", "SLO");
+      std::printf("%-12s %-14s %8s %8s %8s %8s %8s %8s %6s %8s %9s %6s  %s\n", "ZONE", "STATE",
+                  "QPS", "P50ms", "P95ms", "P99ms", "SERVED", "DEGRADED", "SHED", "KEYS/Q",
+                  "STALE_dB", "RECAL", "SLO");
       for (const ZoneMetrics& m : metrics.zones) {
         const ZoneStatus* zs = nullptr;
         for (const ZoneStatus& candidate : status.zones) {
@@ -210,14 +213,19 @@ int main(int argc, char** argv) {
         } else {
           std::snprintf(slo, sizeof slo, "-");
         }
-        std::printf("%-12s %-14s %8.1f %8.3f %8.3f %8.3f %8llu %8llu %6llu %9.3f %6s  %s\n",
+        const std::uint64_t two_tier = find_counter(m, "loc.knn.prepass_queries");
+        const double keys_per_query =
+            two_tier > 0 ? static_cast<double>(find_counter(m, "loc.knn.bound_cells")) /
+                               static_cast<double>(two_tier)
+                         : 0.0;
+        std::printf("%-12s %-14s %8.1f %8.3f %8.3f %8.3f %8llu %8llu %6llu %8.0f %9.3f %6s  %s\n",
                     m.zone.c_str(), m.state.c_str(), qps,
                     lat != nullptr ? lat->p50 * 1e3 : 0.0, lat != nullptr ? lat->p95 * 1e3 : 0.0,
                     lat != nullptr ? lat->p99 * 1e3 : 0.0,
                     static_cast<unsigned long long>(served),
                     static_cast<unsigned long long>(find_counter(m, "system.degraded_queries")),
                     static_cast<unsigned long long>(find_counter(m, "zone.shed")),
-                    zs != nullptr ? zs->staleness_db : 0.0,
+                    keys_per_query, zs != nullptr ? zs->staleness_db : 0.0,
                     (zs != nullptr && zs->update_in_flight) ? "yes" : "no", slo);
       }
       return 0;
