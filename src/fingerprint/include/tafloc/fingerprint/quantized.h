@@ -41,9 +41,8 @@
 // cell's exact int8 distance D_j from below at 32 bytes per cell, so the
 // matcher can skip the cells the bound rules out without reading them.
 // It is built only where a row is at least 8x the projection's 32 bytes
-// (padded_links() >= 256): below that, reading 32 bytes to skip a row
-// of 64 saves too little (in a prototype at 40 links x 1 600 cells, no
-// cell was ruled out at all).
+// (padded_links() >= 256): below that, reading 32 bytes per cell to skip
+// rows of at most 224 bytes saves too little.
 //
 // Exactness bookkeeping: quantize_observation() reports each usable
 // link's exact quantization residual |x_i - dequantized(x_i)| (clamp
